@@ -31,13 +31,13 @@ fn bench_schemes(c: &mut Criterion) {
 }
 
 fn bench_campaign(c: &mut Criterion) {
-    use turnpike_resilience::{fault_campaign, CampaignConfig};
-    let mut group = c.benchmark_group("fault_campaign");
+    use turnpike_resilience::{fault_campaign_hooked, CampaignConfig, CampaignHook};
+    let mut group = c.benchmark_group("campaign");
     group.sample_size(10);
     let kernel = kernel_by_name(Suite::Cpu2006, "leslie3d", Scale::Smoke).expect("kernel exists");
     group.bench_function("turnpike_5_strikes", |b| {
         b.iter(|| {
-            fault_campaign(
+            fault_campaign_hooked(
                 &kernel.program,
                 &RunSpec::new(Scheme::Turnpike),
                 &CampaignConfig {
@@ -46,6 +46,8 @@ fn bench_campaign(c: &mut Criterion) {
                     strikes_per_run: 1,
                     ..Default::default()
                 },
+                1,
+                CampaignHook::default(),
             )
             .expect("campaign runs")
         })

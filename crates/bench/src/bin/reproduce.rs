@@ -110,7 +110,7 @@ use turnpike_serve::{
     loadgen, loadgen_fleet, Arrival, Client, FleetLoadgenConfig, JobKind, JobRequest,
     LoadgenConfig, Outcome, Server, ServerConfig, Store,
 };
-use turnpike_sim::{Core, Translation};
+use turnpike_sim::{Core, FaultPlan, Translation};
 use turnpike_workloads::{all_kernels, Scale, Suite};
 
 /// The target list rendered from the registry, one aligned line per target.
@@ -1099,7 +1099,7 @@ fn fleet_bench_main(args: &[String]) -> ExitCode {
 fn telemetry_main(args: &[String]) -> ExitCode {
     use turnpike_metrics::RateEstimator;
     use turnpike_resilience::{
-        fault_campaign_hooked, write_strike_records_capped_to_path, CampaignConfig, CampaignHook,
+        fault_campaign_hooked, write_strike_records_to_path, CampaignConfig, CampaignHook,
         CampaignProgress, StopRule,
     };
 
@@ -1294,7 +1294,7 @@ fn telemetry_main(args: &[String]) -> ExitCode {
     }
 
     if let Some(path) = &records_path {
-        match write_strike_records_capped_to_path(&turnpike_records, max_records, seed, path) {
+        match write_strike_records_to_path(&turnpike_records, max_records, seed, path) {
             Ok(()) => eprintln!(
                 "# wrote {path}: {} strike records{}",
                 turnpike_records
@@ -1547,7 +1547,7 @@ fn sim_throughput_main(args: &[String]) -> ExitCode {
                         core.attach_translation(translation.clone());
                     }
                     let t0 = Instant::now();
-                    let out = match core.run() {
+                    let out = match core.run(&FaultPlan::none()) {
                         Ok(o) => o,
                         Err(e) => {
                             eprintln!("reproduce sim-throughput: run {}: {e}", k.name);

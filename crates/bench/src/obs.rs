@@ -9,7 +9,7 @@
 
 use turnpike_metrics::{Hist, MetricSet};
 use turnpike_resilience::{
-    fault_campaign_forked, CampaignConfig, ForkStats, RunError, RunSpec, Scheme,
+    fault_campaign_hooked, CampaignConfig, CampaignHook, ForkStats, RunError, RunSpec, Scheme,
 };
 use turnpike_sim::{shared_sink, ChromeTrace, Core, Fault, FaultKind, FaultPlan, JsonlSink};
 use turnpike_workloads::{all_kernels, Kernel, Scale};
@@ -66,14 +66,17 @@ pub fn export_trace(
     let compiled = turnpike_compiler::compile(&kernel.program, &spec.compiler_config())?;
     let sc = spec.sim_config();
     // Fault-free probe run fixes the strike point.
-    let horizon = Core::new(&compiled.program, sc.clone()).run()?.stats.cycles;
+    let horizon = Core::new(&compiled.program, sc.clone())
+        .run(&FaultPlan::none())?
+        .stats
+        .cycles;
     let plan = trace_plan(spec, horizon);
     match format {
         TraceFormat::Chrome => {
             let sink = shared_sink(ChromeTrace::new());
             let mut core = Core::new(&compiled.program, sc);
             core.attach_sink(sink.clone());
-            core.run_with_faults(&plan)?;
+            core.run(&plan)?;
             let rendered = sink.borrow().render();
             Ok(rendered)
         }
@@ -81,7 +84,7 @@ pub fn export_trace(
             let sink = shared_sink(JsonlSink::new(Vec::new()));
             let mut core = Core::new(&compiled.program, sc);
             core.attach_sink(sink.clone());
-            core.run_with_faults(&plan)?;
+            core.run(&plan)?;
             // The run consumed the core, releasing its sink handle.
             let Ok(js) = std::rc::Rc::try_unwrap(sink) else {
                 unreachable!("core released its sink handle")
@@ -112,8 +115,13 @@ pub fn fault_probe_metrics(threads: usize) -> Result<(MetricSet, ForkStats), Run
         strikes_per_run: 1,
         ..Default::default()
     };
-    let (report, _records, fork) =
-        fault_campaign_forked(&kernel.program, &spec, &cfg, threads.max(1))?;
+    let (report, _records, fork) = fault_campaign_hooked(
+        &kernel.program,
+        &spec,
+        &cfg,
+        threads.max(1),
+        CampaignHook::default(),
+    )?;
     Ok((report.metrics, fork))
 }
 

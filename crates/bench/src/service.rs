@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use turnpike_explore::parse_clq;
 use turnpike_resilience::{
-    cache_geom, fault_campaign_shard_hooked, CacheGeom, CampaignConfig, CampaignHook,
-    CampaignProgress, CampaignReport, RunError, RunSpec, Scheme,
+    cache_geom, fault_campaign_hooked, CacheGeom, CampaignConfig, CampaignHook, CampaignProgress,
+    CampaignReport, RunError, RunSpec, Scheme,
 };
 use turnpike_serve::{
     ExecOutput, Executor, JobCtl, JobKind, JobRequest, Json, Lookup, ProgressStats, Store,
@@ -454,6 +454,12 @@ impl EngineExecutor {
                     runs: req.runs as usize,
                     seed: req.seed,
                     strikes_per_run: req.strikes as usize,
+                    // Shard-aware execution: runs cover the global index
+                    // range [run_offset, run_offset + runs), so a fleet of
+                    // shard jobs partitions the exact run set a single
+                    // process would execute (offset 0 = the whole
+                    // campaign, unchanged).
+                    first_run: req.run_offset as usize,
                     ..Default::default()
                 };
                 let on_run = |done: usize, total: usize| ctl.progress(done as u64, total as u64);
@@ -466,17 +472,12 @@ impl EngineExecutor {
                     on_progress: Some(&on_progress),
                     progress_every: 0,
                 };
-                // Shard-aware execution: runs cover the global index range
-                // [run_offset, run_offset + runs), so a fleet of shard
-                // jobs partitions the exact run set a single process would
-                // execute (offset 0 = the whole campaign, unchanged).
-                let (report, _records, _fork) = fault_campaign_shard_hooked(
+                let (report, _records, _fork) = fault_campaign_hooked(
                     &kernel.program,
                     &spec,
                     &config,
                     self.engine.threads(),
                     hook,
-                    req.run_offset as usize,
                 )
                 .map_err(|e| match e {
                     RunError::Canceled => "canceled mid-campaign".to_string(),

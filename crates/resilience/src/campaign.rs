@@ -7,10 +7,8 @@
 //! against the fault-free run. For resilient schemes every run must match —
 //! the acoustic-sensor guarantee is *zero* silent data corruption.
 
-use crate::driver::RunResult;
 use crate::driver::{
-    resume_compiled_replay, run_compiled_collecting_snapshots, run_compiled_replay,
-    run_compiled_with_faults, RunError, RunSpec,
+    run_compiled, run_compiled_collecting_snapshots, RunError, RunResult, RunSpec,
 };
 use crate::par::par_map;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -21,7 +19,9 @@ use turnpike_compiler::compile;
 use turnpike_ir::Program;
 use turnpike_metrics::{RateEstimator, ThroughputMeter};
 use turnpike_sensor::StrikeSampler;
-use turnpike_sim::{Fault, FaultKind, FaultPlan, ReplayGuide, SimError, Translation};
+use turnpike_sim::{
+    Core, Fault, FaultKind, FaultPlan, ReplayGuide, SimError, SimOutcome, Translation,
+};
 
 /// Process-wide default for [`CampaignConfig::early_exit`]: on unless the
 /// `TURNPIKE_EARLY_EXIT` environment variable is set to `0` (the CI golden
@@ -82,6 +82,19 @@ pub struct CampaignConfig {
     /// When to stop injecting. [`StopRule::Fixed`] (the default) keeps the
     /// historical behavior: exactly [`CampaignConfig::runs`] runs.
     pub stop: StopRule,
+    /// Global index of the first run: the campaign executes the runs at
+    /// indices `first_run .. first_run + runs`. Each run's fault plan
+    /// derives from `(seed, global run index)` alone, so a nonzero start
+    /// makes the campaign one *shard* of a larger one — sharding is a
+    /// partition of the run-index space, not an approximation.
+    /// Concatenating shard records in ascending range order reproduces the
+    /// unsharded record stream, and [`CampaignReport::absorb`]ing shard
+    /// reports in the same order reproduces the unsharded report bit for
+    /// bit (the distributed coordinator in the bench harness is built on
+    /// this). Sequential stopping ([`StopRule::CiWidth`]) is a
+    /// whole-campaign decision with no meaning per shard; sharded callers
+    /// use [`StopRule::Fixed`]. Defaults to 0, the whole campaign.
+    pub first_run: usize,
 }
 
 impl Default for CampaignConfig {
@@ -92,6 +105,7 @@ impl Default for CampaignConfig {
             strikes_per_run: 1,
             early_exit: early_exit_default(),
             stop: StopRule::Fixed,
+            first_run: 0,
         }
     }
 }
@@ -271,44 +285,8 @@ impl StrikeRecord {
 
 /// Stream strike records as JSONL, one record per line, in order.
 ///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn write_strike_records<W: std::io::Write>(
-    records: &[StrikeRecord],
-    w: &mut W,
-) -> std::io::Result<()> {
-    for r in records {
-        writeln!(w, "{}", r.to_json())?;
-    }
-    Ok(())
-}
-
-/// Write strike records as a JSONL file at `path`, creating any missing
-/// parent directories first — campaign output paths are routinely nested
-/// (`results/<kernel>/<scheme>/strikes.jsonl`) and a missing directory
-/// should not be an error.
-///
-/// # Errors
-///
-/// Propagates directory-creation and write failures.
-pub fn write_strike_records_to_path<P: AsRef<std::path::Path>>(
-    records: &[StrikeRecord],
-    path: P,
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_strike_records(records, &mut w)?;
-    std::io::Write::flush(&mut w)
-}
-
-/// Like [`write_strike_records`], but when `cap` is `Some(n)` the output is
-/// bounded at `n` records drawn uniformly by a seeded reservoir sampler
+/// When `cap` is `Some(n)` the output is bounded at `n` records drawn
+/// uniformly by a seeded reservoir sampler
 /// ([`Reservoir`](turnpike_metrics::Reservoir)), so campaign JSONL stays
 /// O(cap) at any campaign size. Capped output is prefixed with one header
 /// line documenting the sampling:
@@ -317,22 +295,32 @@ pub fn write_strike_records_to_path<P: AsRef<std::path::Path>>(
 /// {"header":"strike_records","sampling":"reservoir","total":1000000,"written":4096,"cap":4096,"seed":61453}
 /// ```
 ///
-/// Sampled records keep their original relative order. `cap: None` is
-/// byte-identical to [`write_strike_records`] (no header line) — existing
-/// consumers see no change.
+/// Sampled records keep their original relative order. `cap: None` writes
+/// every record with no header line (`seed` is then unused).
 ///
 /// # Errors
 ///
-/// Propagates write failures.
-pub fn write_strike_records_capped<W: std::io::Write>(
+/// Propagates write failures; `cap: Some(0)` is rejected as
+/// [`InvalidInput`](std::io::ErrorKind::InvalidInput), since a reservoir
+/// keeps at least one record and the header would misstate the cap.
+pub fn write_strike_records<W: std::io::Write>(
     records: &[StrikeRecord],
     cap: Option<usize>,
     seed: u64,
     w: &mut W,
 ) -> std::io::Result<()> {
     let Some(cap) = cap else {
-        return write_strike_records(records, w);
+        for r in records {
+            writeln!(w, "{}", r.to_json())?;
+        }
+        return Ok(());
     };
+    if cap == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "strike-record cap must be at least 1",
+        ));
+    }
     let mut reservoir = turnpike_metrics::Reservoir::new(cap, seed);
     for i in 0..records.len() {
         reservoir.offer(i);
@@ -354,13 +342,15 @@ pub fn write_strike_records_capped<W: std::io::Write>(
     Ok(())
 }
 
-/// [`write_strike_records_capped`] to a file at `path`, creating missing
-/// parent directories like [`write_strike_records_to_path`].
+/// [`write_strike_records`] to a file at `path`, creating any missing
+/// parent directories first — campaign output paths are routinely nested
+/// (`results/<kernel>/<scheme>/strikes.jsonl`) and a missing directory
+/// should not be an error.
 ///
 /// # Errors
 ///
 /// Propagates directory-creation and write failures.
-pub fn write_strike_records_capped_to_path<P: AsRef<std::path::Path>>(
+pub fn write_strike_records_to_path<P: AsRef<std::path::Path>>(
     records: &[StrikeRecord],
     cap: Option<usize>,
     seed: u64,
@@ -373,13 +363,13 @@ pub fn write_strike_records_capped_to_path<P: AsRef<std::path::Path>>(
         }
     }
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_strike_records_capped(records, cap, seed, &mut w)?;
+    write_strike_records(records, cap, seed, &mut w)?;
     std::io::Write::flush(&mut w)
 }
 
 /// Caller hooks into a running campaign: cooperative cancellation plus a
 /// per-run progress callback. The default hook (`CampaignHook::default()`)
-/// is inert, and every non-hooked entry point uses it.
+/// is inert.
 ///
 /// Cancellation is checked once per injected run, so a campaign stops
 /// within one simulation of the flag being raised. A canceled campaign
@@ -518,9 +508,7 @@ impl<'a> ProgressShared<'a> {
                 self.hangs.fetch_add(1, Ordering::Relaxed);
             }
             Some(r) => {
-                let sdc = r.outcome.replay_saved.is_none()
-                    && (r.outcome.ret != golden.outcome.ret
-                        || r.outcome.memory != golden.outcome.memory);
+                let sdc = is_sdc(&r.outcome, &golden.outcome);
                 let detections = r.outcome.stats.detections;
                 if sdc {
                     self.sdc.fetch_add(1, Ordering::Relaxed);
@@ -646,82 +634,21 @@ fn watchdog_for(horizon: u64) -> u64 {
     horizon.saturating_mul(8).saturating_add(65_536)
 }
 
-/// Run a fault-injection campaign serially (equivalent to
-/// [`fault_campaign_par`] with one thread).
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted).
-pub fn fault_campaign(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-) -> Result<CampaignReport, RunError> {
-    fault_campaign_par(program, spec, config, 1)
-}
-
-/// Run a fault-injection campaign on up to `threads` worker threads.
+/// Run a fault-injection campaign on up to `threads` worker threads,
+/// returning the report, one [`StrikeRecord`] per injected strike in
+/// deterministic `(run, strike)` order, and the campaign's [`ForkStats`].
 ///
 /// The kernel is compiled once; each run derives its fault plan from
 /// `(seed, run_index)` and simulates independently, so the report is
-/// identical for every thread count.
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted).
-pub fn fault_campaign_par(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-    threads: usize,
-) -> Result<CampaignReport, RunError> {
-    fault_campaign_records(program, spec, config, threads).map(|(report, _)| report)
-}
-
-/// Like [`fault_campaign_par`], additionally returning one [`StrikeRecord`]
-/// per injected strike in deterministic `(run, strike)` order — the stream
-/// behind the campaign JSONL output.
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted).
-pub fn fault_campaign_records(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-    threads: usize,
-) -> Result<(CampaignReport, Vec<StrikeRecord>), RunError> {
-    fault_campaign_forked(program, spec, config, threads).map(|(report, recs, _)| (report, recs))
-}
-
-/// Like [`fault_campaign_records`], additionally returning the campaign's
-/// [`ForkStats`].
-///
-/// When the spec's [`SimConfig::snapshot_interval`](turnpike_sim::SimConfig)
-/// is set, the fault-free golden run captures prefix snapshots and every
-/// strike run forks from the latest snapshot strictly before its earliest
-/// strike instead of re-executing the fault-free prefix. Report and records
-/// are bit-identical either way — the
-/// [`CoreSnapshot`](turnpike_sim::CoreSnapshot) determinism contract
-/// guarantees the resumed run reproduces the from-scratch one, stats
-/// included.
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted).
-pub fn fault_campaign_forked(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-    threads: usize,
-) -> Result<(CampaignReport, Vec<StrikeRecord>, ForkStats), RunError> {
-    fault_campaign_hooked(program, spec, config, threads, CampaignHook::default())
-}
-
-/// Like [`fault_campaign_forked`] with a caller-provided [`CampaignHook`]:
-/// the long-lived serving layer uses this to cancel timed-out campaign jobs
-/// and stream per-run progress back to clients. With the default hook this
-/// is exactly [`fault_campaign_forked`] — hooks never change the report.
+/// identical for every thread count. When the spec's
+/// [`SimConfig::snapshot_interval`](turnpike_sim::SimConfig) is set, the
+/// fault-free golden run captures prefix snapshots and every strike run
+/// forks from the latest snapshot strictly before its earliest strike
+/// instead of re-executing the fault-free prefix; the
+/// [`CoreSnapshot`](turnpike_sim::CoreSnapshot) determinism contract makes
+/// report and records bit-identical either way. The `hook` cancels the
+/// campaign or observes its progress (the serving layer streams it to
+/// clients); hooks never change the report.
 ///
 /// # Errors
 ///
@@ -735,58 +662,22 @@ pub fn fault_campaign_hooked(
     threads: usize,
     hook: CampaignHook<'_>,
 ) -> Result<(CampaignReport, Vec<StrikeRecord>, ForkStats), RunError> {
-    fault_campaign_shard_hooked(program, spec, config, threads, hook, 0)
-}
-
-/// Execute one *shard* of a campaign: the runs at global indices
-/// `offset .. offset + config.runs`.
-///
-/// Each run's fault plan derives from `(config.seed, global run index)`
-/// alone, so a shard computes exactly the runs the unsharded campaign
-/// would at those indices — sharding is a partition of the run-index
-/// space, not an approximation. Concatenating shard records in ascending
-/// range order reproduces the unsharded record stream, and
-/// [`CampaignReport::absorb`]ing shard reports in the same order
-/// reproduces the unsharded report bit for bit. The distributed
-/// coordinator in the bench harness is built on this contract.
-///
-/// `offset == 0` with `config.runs` covering the whole campaign is
-/// exactly [`fault_campaign_hooked`]. Sequential stopping
-/// ([`StopRule::CiWidth`]) is a whole-campaign decision and has no
-/// meaning per shard; sharded callers use [`StopRule::Fixed`].
-///
-/// # Errors
-///
-/// Propagates compile/simulate failures (not SDCs — those are counted), and
-/// returns [`RunError::Canceled`] if the hook's cancel flag is raised before
-/// the last injected run completes.
-pub fn fault_campaign_shard_hooked(
-    program: &Program,
-    spec: &RunSpec,
-    config: &CampaignConfig,
-    threads: usize,
-    hook: CampaignHook<'_>,
-    offset: usize,
-) -> Result<(CampaignReport, Vec<StrikeRecord>, ForkStats), RunError> {
     let compiled = compile(program, &spec.compiler_config())?;
     if hook.canceled() {
         return Err(RunError::Canceled);
     }
-    let (golden, snapshots) = match spec.sim_config().snapshot_interval {
+    let sc = spec.sim_config();
+    let (golden, snapshots) = match sc.snapshot_interval {
         Some(interval) => {
             run_compiled_collecting_snapshots(&compiled, spec, &FaultPlan::none(), interval)?
         }
-        None => (
-            run_compiled_with_faults(&compiled, spec, &FaultPlan::none())?,
-            Vec::new(),
-        ),
+        None => (run_compiled(&compiled, &sc)?, Vec::new()),
     };
     // Shared accelerations, built once for the whole campaign: the
     // superblock pre-decode of the compiled program (when the scheme's sim
     // config enables translation) and the early-exit replay guide over the
     // golden run's snapshots. Neither changes any simulated outcome.
-    let translation = spec
-        .sim_config()
+    let translation = sc
         .translate
         .then(|| Arc::new(Translation::new(&compiled.program)));
     let guide = (config.early_exit && !snapshots.is_empty())
@@ -817,7 +708,7 @@ pub fn fault_campaign_shard_hooked(
         if hook.canceled() {
             return Err(RunError::Canceled);
         }
-        // `i` is the *global* run index (shard offset included): the plan,
+        // `i` is the *global* run index (`first_run` included): the plan,
         // and with it the run's outcome, must be the one the unsharded
         // campaign would compute at this index.
         let plan = plan_for_run(config, spec, i, horizon);
@@ -831,39 +722,38 @@ pub fn fault_campaign_shard_hooked(
             .map(|f| f.strike_cycle)
             .min()
             .and_then(|first| snapshots.iter().take_while(|s| s.cycle() < first).last());
-        let forked_at = fork_point.map(|s| s.cycle());
-        let out = match fork_point {
-            Some(snap) => {
-                resume_compiled_replay(&compiled, snap, &plan, translation.clone(), guide.as_ref())
-            }
-            None => {
-                run_compiled_replay(&compiled, spec, &plan, translation.clone(), guide.as_ref())
-            }
+        let mut core = match fork_point {
+            Some(snap) => Core::from_snapshot(&compiled.program, snap),
+            None => Core::new(&compiled.program, sc.clone()),
         };
+        if let Some(tr) = &translation {
+            core.attach_translation(tr.clone());
+        }
+        if let Some(g) = &guide {
+            core.attach_replay(g);
+        }
         // A watchdog abort is a campaign outcome (the strike hung the
         // program), not an infrastructure failure. Both the forked and the
         // from-scratch path clamp to the same absolute cycle bound, so the
         // classification is identical either way.
-        let out = match out {
-            Ok(r) => Ok((Some(r), forked_at)),
-            Err(RunError::Sim(SimError::CycleLimit(_))) => Ok((None, forked_at)),
-            Err(e) => Err(e),
+        let run = match core.run(&plan) {
+            Ok(outcome) => Some(RunResult::assemble(&compiled, outcome)),
+            Err(SimError::CycleLimit(_)) => None,
+            Err(e) => return Err(e.into()),
         };
-        if let Ok((run, _)) = &out {
-            // Outcome tallies land before the release bump so any snapshot
-            // taken at `done == n` has seen all n outcomes.
-            if let Some(p) = progress.as_ref() {
-                p.count_run(run.as_ref(), &golden);
-            }
-            let done = completed.fetch_add(1, Ordering::AcqRel) + 1;
-            if let Some(on_run) = hook.on_run {
-                on_run(done, target);
-            }
-            if let Some(p) = progress.as_ref() {
-                p.maybe_emit(done);
-            }
+        // Outcome tallies land before the release bump so any snapshot
+        // taken at `done == n` has seen all n outcomes.
+        if let Some(p) = progress.as_ref() {
+            p.count_run(run.as_ref(), &golden);
         }
-        out
+        let done = completed.fetch_add(1, Ordering::AcqRel) + 1;
+        if let Some(on_run) = hook.on_run {
+            on_run(done, target);
+        }
+        if let Some(p) = progress.as_ref() {
+            p.maybe_emit(done);
+        }
+        Ok((plan, fork_point.map(|s| s.cycle()), run))
     };
     let mut report = CampaignReport::default();
     let mut fork = ForkStats::default();
@@ -871,20 +761,11 @@ pub fn fault_campaign_shard_hooked(
     let mut executed = 0usize;
     while executed < target {
         let end = target.min(executed + chunk);
-        let indices: Vec<usize> = (offset + executed..offset + end).collect();
+        let first = config.first_run;
+        let indices: Vec<usize> = (first + executed..first + end).collect();
         let runs = par_map(&indices, threads, worker);
         for (&i, run) in indices.iter().zip(runs) {
-            fold_run(
-                i,
-                run?,
-                &golden,
-                config,
-                spec,
-                horizon,
-                &mut report,
-                &mut fork,
-                &mut records,
-            );
+            fold_run(i, run?, &golden, &mut report, &mut fork, &mut records);
         }
         executed = end;
         if let StopRule::CiWidth { half_width, .. } = config.stop {
@@ -912,22 +793,28 @@ pub fn fault_campaign_shard_hooked(
     Ok((report, records, fork))
 }
 
-/// Fold one injected run's result into the campaign accumulators: fork
-/// accounting, aggregate report fields, and one [`StrikeRecord`] per
-/// strike. Pure per-run bookkeeping, called in ascending run order.
-#[allow(clippy::too_many_arguments)]
+/// Whether a finished strike run silently corrupted its result. An
+/// early-exited run proved its final state equals the golden run's (that
+/// is what the convergence check establishes), so its empty memory maps
+/// must not be mistaken for a wiped memory.
+fn is_sdc(run: &SimOutcome, golden: &SimOutcome) -> bool {
+    run.replay_saved.is_none() && (run.ret != golden.ret || run.memory != golden.memory)
+}
+
+/// Fold injected run `i` into the campaign accumulators: fork accounting,
+/// aggregate report fields, and one [`StrikeRecord`] per strike. `run` is
+/// the worker's `(plan, fork cycle, result)`, with no result when the
+/// watchdog aborted the run. Pure per-run bookkeeping, called in ascending
+/// run order.
 fn fold_run(
     i: usize,
-    run: (Option<RunResult>, Option<u64>),
+    run: (FaultPlan, Option<u64>, Option<RunResult>),
     golden: &RunResult,
-    config: &CampaignConfig,
-    spec: &RunSpec,
-    horizon: u64,
     report: &mut CampaignReport,
     fork: &mut ForkStats,
     records: &mut Vec<StrikeRecord>,
 ) {
-    let (run, forked_at) = run;
+    let (plan, forked_at, run) = run;
     match forked_at {
         Some(cycle) => {
             fork.hits += 1;
@@ -939,7 +826,6 @@ fn fold_run(
         // Watchdog abort: the run hung. Every strike of the run is
         // classified as a hang; there is no final state to audit.
         report.hangs += 1;
-        let plan = plan_for_run(config, spec, i, horizon);
         for (k, f) in plan.faults().iter().enumerate() {
             records.push(StrikeRecord {
                 run: i,
@@ -961,11 +847,7 @@ fn fold_run(
     report.detections += run.outcome.stats.detections;
     report.parity_detections += run.outcome.stats.parity_detections;
     report.sensor_detections += run.outcome.stats.sensor_detections;
-    // An early-exited run proved its final state equals the golden
-    // run's (that is what the convergence check establishes), so its
-    // empty memory maps must not be mistaken for a wiped memory.
-    let sdc = run.outcome.replay_saved.is_none()
-        && (run.outcome.ret != golden.outcome.ret || run.outcome.memory != golden.outcome.memory);
+    let sdc = is_sdc(&run.outcome, &golden.outcome);
     if sdc {
         report.sdc += 1;
     }
@@ -975,20 +857,16 @@ fn fold_run(
     // (a strike in an unprotected region lands in-run with nothing
     // watching). Counted per strike, not per run: a 3-strike run with
     // one in-run strike contributes 2.
+    let detections = run.outcome.stats.detections;
     if !sdc {
-        report.post_completion += config
-            .strikes_per_run
-            .saturating_sub(run.outcome.stats.detections as usize);
+        report.post_completion += plan.faults().len().saturating_sub(detections as usize);
     }
-    // Re-derive the run's plan (a pure function of seed and index) and
-    // classify each strike. In a clean run the earliest `detections`
+    // Classify each strike. In a clean run the earliest `detections`
     // strikes by cycle are the ones that landed in-run and the rest hit
     // after completion; an SDC verdict is attributed to every strike of
     // the run, since nothing observed which one corrupted the state.
-    let plan = plan_for_run(config, spec, i, horizon);
     let mut order: Vec<usize> = (0..plan.faults().len()).collect();
     order.sort_by_key(|&k| plan.faults()[k].strike_cycle);
-    let detections = run.outcome.stats.detections;
     for (rank, &k) in order.iter().enumerate() {
         let f = &plan.faults()[k];
         let outcome = if sdc {
@@ -1017,6 +895,16 @@ mod tests {
     use crate::scheme::Scheme;
     use turnpike_workloads::{kernel_by_name, Scale, Suite};
 
+    /// The campaign on `threads` workers with an inert hook.
+    fn campaign(
+        p: &Program,
+        spec: &RunSpec,
+        cfg: &CampaignConfig,
+        threads: usize,
+    ) -> (CampaignReport, Vec<StrikeRecord>, ForkStats) {
+        fault_campaign_hooked(p, spec, cfg, threads, CampaignHook::default()).unwrap()
+    }
+
     fn kernel(suite: Suite, name: &str) -> Program {
         kernel_by_name(suite, name, Scale::Smoke)
             .expect("known kernel")
@@ -1032,7 +920,7 @@ mod tests {
             (Suite::Splash3, "radix"),
         ] {
             let p = kernel(suite, name);
-            let report = fault_campaign(
+            let report = campaign(
                 &p,
                 &RunSpec::new(Scheme::Turnpike),
                 &CampaignConfig {
@@ -1041,8 +929,9 @@ mod tests {
                     strikes_per_run: 1,
                     ..Default::default()
                 },
+                1,
             )
-            .unwrap();
+            .0;
             assert!(report.sdc_free(), "{name}: {report:?}");
             assert!(report.detections > 0, "{name}: no strike landed in-run");
         }
@@ -1051,7 +940,7 @@ mod tests {
     #[test]
     fn turnstile_is_sdc_free_too() {
         let p = kernel(Suite::Cpu2006, "libquan");
-        let report = fault_campaign(
+        let report = campaign(
             &p,
             &RunSpec::new(Scheme::Turnstile),
             &CampaignConfig {
@@ -1060,15 +949,16 @@ mod tests {
                 strikes_per_run: 1,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap();
+        .0;
         assert!(report.sdc_free(), "{report:?}");
     }
 
     #[test]
     fn multiple_strikes_per_run_still_recover() {
         let p = kernel(Suite::Cpu2006, "leslie3d");
-        let report = fault_campaign(
+        let report = campaign(
             &p,
             &RunSpec::new(Scheme::Turnpike),
             &CampaignConfig {
@@ -1077,8 +967,9 @@ mod tests {
                 strikes_per_run: 3,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap();
+        .0;
         assert!(report.sdc_free(), "{report:?}");
         assert!(report.recoveries >= report.runs as u64 / 2);
     }
@@ -1092,8 +983,8 @@ mod tests {
             strikes_per_run: 1,
             ..Default::default()
         };
-        let a = fault_campaign(&p, &RunSpec::new(Scheme::Turnpike), &cfg).unwrap();
-        let b = fault_campaign(&p, &RunSpec::new(Scheme::Turnpike), &cfg).unwrap();
+        let a = campaign(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1).0;
+        let b = campaign(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1).0;
         assert_eq!(a, b);
     }
 
@@ -1107,9 +998,9 @@ mod tests {
             ..Default::default()
         };
         let spec = RunSpec::new(Scheme::Turnpike);
-        let serial = fault_campaign(&p, &spec, &cfg).unwrap();
+        let serial = campaign(&p, &spec, &cfg, 1).0;
         for threads in [2, 4, 8] {
-            let par = fault_campaign_par(&p, &spec, &cfg, threads).unwrap();
+            let par = campaign(&p, &spec, &cfg, threads).0;
             assert_eq!(serial, par, "threads={threads}");
         }
     }
@@ -1118,7 +1009,7 @@ mod tests {
     fn report_metrics_agree_with_fixed_fields() {
         use turnpike_metrics::Counter;
         let p = kernel(Suite::Cpu2006, "bwaves");
-        let report = fault_campaign(
+        let report = campaign(
             &p,
             &RunSpec::new(Scheme::Turnpike),
             &CampaignConfig {
@@ -1127,8 +1018,9 @@ mod tests {
                 strikes_per_run: 1,
                 ..Default::default()
             },
+            1,
         )
-        .unwrap();
+        .0;
         let m = &report.metrics;
         assert_eq!(m.counter(Counter::CampaignRuns), report.runs as u64);
         assert_eq!(m.counter(Counter::CampaignSdc), report.sdc as u64);
@@ -1152,7 +1044,7 @@ mod tests {
             ..Default::default()
         };
         let spec = RunSpec::new(Scheme::Turnpike);
-        let (report, records) = fault_campaign_records(&p, &spec, &cfg, 1).unwrap();
+        let (report, records, _) = campaign(&p, &spec, &cfg, 1);
         assert_eq!(records.len(), cfg.runs * cfg.strikes_per_run);
         // Deterministic (run, strike-by-cycle) order.
         for w in records.windows(2) {
@@ -1170,7 +1062,7 @@ mod tests {
         assert_eq!(post, report.post_completion);
         assert!(records.iter().all(|r| r.outcome != StrikeOutcome::Sdc));
         // Parallel production is byte-identical.
-        let (_, records4) = fault_campaign_records(&p, &spec, &cfg, 4).unwrap();
+        let (_, records4, _) = campaign(&p, &spec, &cfg, 4);
         assert_eq!(records, records4);
     }
 
@@ -1191,7 +1083,7 @@ mod tests {
              \"recovery_cycles\":42,\"detections\":1,\"outcome\":\"recovered\"}"
         );
         let mut buf = Vec::new();
-        write_strike_records(&[r.clone(), r], &mut buf).unwrap();
+        write_strike_records(&[r.clone(), r], None, 0, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.ends_with('\n'));
@@ -1215,13 +1107,13 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("deep/nested/strikes.jsonl");
-        write_strike_records_to_path(&[r.clone(), r], &path).unwrap();
+        write_strike_records_to_path(&[r.clone(), r], None, 0, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.starts_with("{\"run\":0,"));
         // A bare filename (no parent component) must also work.
         let mut bare = Vec::new();
-        write_strike_records(&[], &mut bare).unwrap();
+        write_strike_records(&[], None, 0, &mut bare).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1236,7 +1128,7 @@ mod tests {
             ..Default::default()
         };
         let spec = RunSpec::new(Scheme::Turnpike);
-        let plain = fault_campaign_forked(&p, &spec, &cfg, 2).unwrap();
+        let plain = campaign(&p, &spec, &cfg, 2);
         let calls = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let on_run = |done: usize, total: usize| {
@@ -1288,7 +1180,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let report = fault_campaign_par(&p, &spec, &cfg, 2).unwrap();
+        let report = campaign(&p, &spec, &cfg, 2).0;
         // Turnpike is SDC-free, so the Wilson interval on 0/n tightens
         // past 0.06 at the second chunk boundary — well before the cap.
         assert_eq!(report.runs, 2 * STOP_CHUNK, "{report:?}");
@@ -1299,7 +1191,7 @@ mod tests {
         // The executed-run set is a function of the config alone: any
         // thread count stops at the same boundary with the same report.
         for threads in [1, 4] {
-            let again = fault_campaign_par(&p, &spec, &cfg, threads).unwrap();
+            let again = campaign(&p, &spec, &cfg, threads).0;
             assert_eq!(report, again, "threads={threads}");
         }
         // The campaign counters reflect the runs actually executed.
@@ -1316,7 +1208,7 @@ mod tests {
             },
             ..cfg
         };
-        let report = fault_campaign_par(&p, &spec, &capped, 2).unwrap();
+        let report = campaign(&p, &spec, &capped, 2).0;
         assert_eq!(report.runs, 8);
     }
 
@@ -1330,7 +1222,7 @@ mod tests {
             ..Default::default()
         };
         let spec = RunSpec::new(Scheme::Turnpike);
-        let plain = fault_campaign_forked(&p, &spec, &cfg, 2).unwrap();
+        let plain = campaign(&p, &spec, &cfg, 2);
         let snapshots: Mutex<Vec<CampaignProgress>> = Mutex::new(Vec::new());
         let on_progress = |s: &CampaignProgress| {
             snapshots.lock().unwrap().push(*s);
@@ -1380,20 +1272,18 @@ mod tests {
             strikes_per_run: 2,
             ..Default::default()
         };
-        let (_, records) =
-            fault_campaign_records(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1).unwrap();
+        let (_, records, _) = campaign(&p, &RunSpec::new(Scheme::Turnpike), &cfg, 1);
         assert_eq!(records.len(), 12);
-        // Uncapped via the capped entry point is byte-identical to the
-        // plain writer — no header, no sampling.
-        let mut plain = Vec::new();
-        write_strike_records(&records, &mut plain).unwrap();
+        // Uncapped output is every record, one per line — no header, no
+        // sampling.
+        let plain: String = records.iter().map(|r| r.to_json() + "\n").collect();
         let mut uncapped = Vec::new();
-        write_strike_records_capped(&records, None, 0, &mut uncapped).unwrap();
-        assert_eq!(plain, uncapped);
+        write_strike_records(&records, None, 0, &mut uncapped).unwrap();
+        assert_eq!(plain.as_bytes(), uncapped);
         // Capped output: one header line documenting the sampling, then
         // `cap` records in original order, reproducible for a seed.
         let mut capped = Vec::new();
-        write_strike_records_capped(&records, Some(5), 99, &mut capped).unwrap();
+        write_strike_records(&records, Some(5), 99, &mut capped).unwrap();
         let text = String::from_utf8(capped.clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 6);
@@ -1410,14 +1300,20 @@ mod tests {
             last_pos = pos;
         }
         let mut again = Vec::new();
-        write_strike_records_capped(&records, Some(5), 99, &mut again).unwrap();
+        write_strike_records(&records, Some(5), 99, &mut again).unwrap();
         assert_eq!(capped, again);
         // A cap at or above the population writes everything.
         let mut all = Vec::new();
-        write_strike_records_capped(&records, Some(64), 99, &mut all).unwrap();
+        write_strike_records(&records, Some(64), 99, &mut all).unwrap();
         let all = String::from_utf8(all).unwrap();
         assert_eq!(all.lines().count(), 13);
         assert!(all.contains("\"written\":12,\"cap\":64"));
+        // A zero cap cannot be honored (a reservoir keeps at least one
+        // record), so it is rejected instead of mislabeled.
+        let mut zero = Vec::new();
+        let err = write_strike_records(&records, Some(0), 99, &mut zero).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(zero.is_empty());
     }
 
     #[test]

@@ -2,15 +2,11 @@
 
 use crate::preset::CacheGeom;
 use crate::scheme::Scheme;
-use std::sync::Arc;
 use turnpike_compiler::{
     compile, CompileError, CompileOutput, CompilerConfig, PassStats, ProtectionPolicy,
 };
 use turnpike_ir::Program;
-use turnpike_sim::{
-    ClqKind, Core, CoreSnapshot, FaultPlan, ReplayGuide, SimConfig, SimError, SimOutcome,
-    Translation,
-};
+use turnpike_sim::{ClqKind, Core, CoreSnapshot, FaultPlan, SimConfig, SimError, SimOutcome};
 
 /// A fully-specified run: scheme, platform knobs, and optional hardware
 /// overrides for the sensitivity studies.
@@ -170,7 +166,7 @@ pub struct RunResult {
 impl RunResult {
     /// Assemble a result from a compile and a simulation, merging both
     /// layers' metrics into the unified registry.
-    fn assemble(compiled: &CompileOutput, outcome: SimOutcome) -> Self {
+    pub(crate) fn assemble(compiled: &CompileOutput, outcome: SimOutcome) -> Self {
         let mut metrics = compiled.metrics.clone();
         metrics.merge(&outcome.stats.to_metrics());
         RunResult {
@@ -223,38 +219,8 @@ impl From<SimError> for RunError {
 ///
 /// Propagates compiler and simulator failures.
 pub fn run_kernel(program: &Program, spec: &RunSpec) -> Result<RunResult, RunError> {
-    run_kernel_with_faults(program, spec, &FaultPlan::none())
-}
-
-/// Compile and simulate under explicit compiler/simulator configurations,
-/// bypassing the [`Scheme`] presets. This is the entry point for ablation
-/// studies (e.g. "Turnpike minus instruction scheduling").
-///
-/// # Errors
-///
-/// Propagates compiler and simulator failures.
-pub fn run_custom(
-    program: &Program,
-    cc: &turnpike_compiler::CompilerConfig,
-    sc: &turnpike_sim::SimConfig,
-) -> Result<RunResult, RunError> {
-    let compiled = compile(program, cc)?;
-    let outcome = Core::new(&compiled.program, sc.clone()).run()?;
-    Ok(RunResult::assemble(&compiled, outcome))
-}
-
-/// Compile and simulate with a fault plan.
-///
-/// # Errors
-///
-/// Propagates compiler and simulator failures.
-pub fn run_kernel_with_faults(
-    program: &Program,
-    spec: &RunSpec,
-    faults: &FaultPlan,
-) -> Result<RunResult, RunError> {
     let compiled = compile(program, &spec.compiler_config())?;
-    run_compiled_with_faults(&compiled, spec, faults)
+    run_compiled(&compiled, &spec.sim_config())
 }
 
 /// Simulate an already-compiled program fault-free under an explicit
@@ -265,32 +231,16 @@ pub fn run_kernel_with_faults(
 ///
 /// Propagates simulator failures.
 pub fn run_compiled(compiled: &CompileOutput, sc: &SimConfig) -> Result<RunResult, RunError> {
-    let outcome = Core::new(&compiled.program, sc.clone()).run()?;
+    let outcome = Core::new(&compiled.program, sc.clone()).run(&FaultPlan::none())?;
     Ok(RunResult::assemble(compiled, outcome))
 }
 
-/// Simulate an already-compiled program under `spec` with a fault plan.
-/// Fault campaigns and the evaluation engine use this to compile a kernel
-/// once and reuse the machine code across many simulations.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn run_compiled_with_faults(
-    compiled: &CompileOutput,
-    spec: &RunSpec,
-    faults: &FaultPlan,
-) -> Result<RunResult, RunError> {
-    let outcome = Core::new(&compiled.program, spec.sim_config()).run_with_faults(faults)?;
-    Ok(RunResult::assemble(compiled, outcome))
-}
-
-/// Simulate an already-compiled program under `spec`, capturing a
-/// [`CoreSnapshot`] roughly every `interval` cycles. The result is
-/// bit-identical to [`run_compiled_with_faults`] with the same plan —
-/// capture is pure observation. Fault campaigns run the fault-free golden
-/// execution through this once and [`resume_compiled_with_faults`] each
-/// strike run from the latest usable snapshot.
+/// Simulate an already-compiled program under `spec` and `faults`,
+/// capturing a [`CoreSnapshot`] roughly every `interval` cycles. Capture is
+/// pure observation: the outcome is the one [`Core::run`] gives. Fault
+/// campaigns run the fault-free golden execution through this once and
+/// resume each strike run ([`Core::from_snapshot`]) from the latest usable
+/// snapshot.
 ///
 /// # Errors
 ///
@@ -304,71 +254,6 @@ pub fn run_compiled_collecting_snapshots(
     let (outcome, snaps) = Core::new(&compiled.program, spec.sim_config())
         .run_collecting_snapshots(faults, interval)?;
     Ok((RunResult::assemble(compiled, outcome), snaps))
-}
-
-/// Continue an already-compiled program from `snap` under a new fault plan.
-/// Bit-identical to the from-scratch run of the same plan provided every
-/// strike lands strictly after `snap.cycle()` (see the [`CoreSnapshot`]
-/// determinism contract).
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn resume_compiled_with_faults(
-    compiled: &CompileOutput,
-    snap: &CoreSnapshot,
-    faults: &FaultPlan,
-) -> Result<RunResult, RunError> {
-    let outcome = Core::resume(&compiled.program, snap, faults)?;
-    Ok(RunResult::assemble(compiled, outcome))
-}
-
-/// [`run_compiled_with_faults`] with campaign sharing applied: an optional
-/// pre-built [`Translation`] of the compiled program (superblock dispatch
-/// once the run goes quiet) and an optional early-exit [`ReplayGuide`]
-/// (stop at the first provable reconvergence with the golden run). Both are
-/// pure accelerations — the outcome is bit-identical either way, except
-/// that an early-exited outcome reports `replay_saved` and carries empty
-/// memory maps (the convergence proof already matched them).
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn run_compiled_replay(
-    compiled: &CompileOutput,
-    spec: &RunSpec,
-    faults: &FaultPlan,
-    translation: Option<Arc<Translation>>,
-    guide: Option<&ReplayGuide<'_>>,
-) -> Result<RunResult, RunError> {
-    let mut core = Core::new(&compiled.program, spec.sim_config());
-    if let Some(tr) = translation {
-        core.attach_translation(tr);
-    }
-    let outcome = match guide {
-        Some(g) => core.run_with_replay(faults, g)?,
-        None => core.run_with_faults(faults)?,
-    };
-    Ok(RunResult::assemble(compiled, outcome))
-}
-
-/// [`resume_compiled_with_faults`] with the same campaign sharing as
-/// [`run_compiled_replay`]: fault campaigns fork thousands of strike runs
-/// from one compiled program, so the superblock pre-decode happens once and
-/// every run probes the same golden snapshots for an early exit.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn resume_compiled_replay(
-    compiled: &CompileOutput,
-    snap: &CoreSnapshot,
-    faults: &FaultPlan,
-    translation: Option<Arc<Translation>>,
-    guide: Option<&ReplayGuide<'_>>,
-) -> Result<RunResult, RunError> {
-    let outcome = Core::resume_replay(&compiled.program, snap, faults, translation, guide)?;
-    Ok(RunResult::assemble(compiled, outcome))
 }
 
 /// Normalized execution time of `spec` relative to the unprotected baseline

@@ -8,8 +8,21 @@
 //! report, per-strike records, and metrics alike. This pins that contract
 //! across the full Fig-21 scheme ladder.
 
-use turnpike_resilience::{fault_campaign_forked, CampaignConfig, RunSpec, Scheme};
+use turnpike_resilience::{
+    fault_campaign_hooked, CampaignConfig, CampaignHook, CampaignReport, ForkStats, RunSpec,
+    Scheme, StrikeRecord,
+};
 use turnpike_workloads::{kernel_by_name, Scale, Suite};
+
+/// The campaign on `threads` workers with an inert hook.
+fn campaign(
+    program: &turnpike_ir::Program,
+    spec: &RunSpec,
+    config: &CampaignConfig,
+    threads: usize,
+) -> (CampaignReport, Vec<StrikeRecord>, ForkStats) {
+    fault_campaign_hooked(program, spec, config, threads, CampaignHook::default()).unwrap()
+}
 
 fn config() -> CampaignConfig {
     CampaignConfig {
@@ -27,16 +40,14 @@ fn forked_campaign_matches_from_scratch_across_ladder() {
         .program;
     for scheme in Scheme::LADDER {
         let spec = RunSpec::new(scheme).with_histograms();
-        let (forked_report, forked_records, forked_stats) = fault_campaign_forked(
+        let (forked_report, forked_records, forked_stats) = campaign(
             &program,
             &spec.clone().with_snapshot_interval(Some(64)),
             &config(),
             2,
-        )
-        .unwrap();
+        );
         let (scratch_report, scratch_records, scratch_stats) =
-            fault_campaign_forked(&program, &spec.with_snapshot_interval(None), &config(), 2)
-                .unwrap();
+            campaign(&program, &spec.with_snapshot_interval(None), &config(), 2);
 
         assert_eq!(forked_report, scratch_report, "{scheme}: reports diverge");
         assert_eq!(forked_records, scratch_records, "{scheme}: records diverge");
@@ -70,15 +81,14 @@ fn fork_equivalence_holds_with_multiple_strikes_per_run() {
         ..Default::default()
     };
     let spec = RunSpec::new(Scheme::Turnpike).with_histograms();
-    let (forked_report, forked_records, _) = fault_campaign_forked(
+    let (forked_report, forked_records, _) = campaign(
         &program,
         &spec.clone().with_snapshot_interval(Some(32)),
         &cfg,
         2,
-    )
-    .unwrap();
+    );
     let (scratch_report, scratch_records, _) =
-        fault_campaign_forked(&program, &spec.with_snapshot_interval(None), &cfg, 2).unwrap();
+        campaign(&program, &spec.with_snapshot_interval(None), &cfg, 2);
     assert_eq!(forked_report, scratch_report);
     assert_eq!(forked_records, scratch_records);
 }

@@ -12,9 +12,20 @@
 use turnpike_compiler::{compile, ProtectionPolicy};
 use turnpike_isa::ProtectionMode;
 use turnpike_resilience::{
-    fault_campaign_forked, fault_campaign_records, CampaignConfig, RunSpec, Scheme, StrikeOutcome,
+    fault_campaign_hooked, CampaignConfig, CampaignHook, CampaignReport, ForkStats, RunSpec,
+    Scheme, StrikeOutcome, StrikeRecord,
 };
 use turnpike_workloads::{kernel_by_name, Scale, Suite};
+
+/// The campaign on `threads` workers with an inert hook.
+fn campaign(
+    program: &turnpike_ir::Program,
+    spec: &RunSpec,
+    config: &CampaignConfig,
+    threads: usize,
+) -> (CampaignReport, Vec<StrikeRecord>, ForkStats) {
+    fault_campaign_hooked(program, spec, config, threads, CampaignHook::default()).unwrap()
+}
 
 fn program(name: &str) -> turnpike_ir::Program {
     kernel_by_name(Suite::Cpu2006, name, Scale::Smoke)
@@ -68,7 +79,7 @@ fn fully_unprotected_regions_never_detect_or_recover() {
     let prog = program("bwaves");
     let spec = RunSpec::new(Scheme::Turnpike)
         .with_policy(ProtectionPolicy::ForceUniform(ProtectionMode::Unprotected));
-    let (report, records) = fault_campaign_records(&prog, &spec, &config(), 2).unwrap();
+    let (report, records, _) = campaign(&prog, &spec, &config(), 2);
     assert_eq!(report.runs, config().runs);
     assert_eq!(
         report.detections, 0,
@@ -92,7 +103,7 @@ fn protected_regions_recover_across_mode_boundaries() {
     for name in ["zeusmp", "leslie3d", "gemsfdtd"] {
         let prog = program(name);
         let spec = RunSpec::new(Scheme::Adaptive);
-        let (report, records) = fault_campaign_records(&prog, &spec, &config(), 2).unwrap();
+        let (report, records, _) = campaign(&prog, &spec, &config(), 2);
         assert!(report.detections > 0, "{name}: protected regions detect");
         assert!(report.recoveries > 0, "{name}: protected regions recover");
         assert!(
@@ -127,14 +138,13 @@ fn watchdog_classifies_hung_runs_identically_on_both_paths() {
         ..config()
     };
     let spec = RunSpec::new(Scheme::Adaptive);
-    let (fast_report, fast_records, _) = fault_campaign_forked(
+    let (fast_report, fast_records, _) = campaign(
         &prog,
         &spec.clone().with_snapshot_interval(Some(64)),
         &cfg,
         2,
-    )
-    .unwrap();
-    let (scratch_report, scratch_records, _) = fault_campaign_forked(
+    );
+    let (scratch_report, scratch_records, _) = campaign(
         &prog,
         &spec.with_snapshot_interval(None),
         &CampaignConfig {
@@ -142,8 +152,7 @@ fn watchdog_classifies_hung_runs_identically_on_both_paths() {
             ..cfg
         },
         2,
-    )
-    .unwrap();
+    );
     assert!(
         fast_report.hangs > 0,
         "campaign produced no hang to classify"
@@ -176,15 +185,14 @@ fn mixed_mode_fork_and_early_exit_replay_are_bit_identical() {
         ..config()
     };
     let spec = RunSpec::new(Scheme::Adaptive).with_histograms();
-    let (fast_report, fast_records, fast_stats) = fault_campaign_forked(
+    let (fast_report, fast_records, fast_stats) = campaign(
         &prog,
         &spec.clone().with_snapshot_interval(Some(64)),
         &cfg_fast,
         2,
-    )
-    .unwrap();
+    );
     let (scratch_report, scratch_records, scratch_stats) =
-        fault_campaign_forked(&prog, &spec.with_snapshot_interval(None), &cfg_scratch, 2).unwrap();
+        campaign(&prog, &spec.with_snapshot_interval(None), &cfg_scratch, 2);
 
     assert_eq!(fast_report, scratch_report, "reports diverge");
     assert_eq!(fast_records, scratch_records, "records diverge");

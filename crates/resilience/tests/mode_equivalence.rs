@@ -11,8 +11,21 @@
 use proptest::prelude::*;
 use turnpike_compiler::ProtectionPolicy;
 use turnpike_isa::ProtectionMode;
-use turnpike_resilience::{fault_campaign_records, CampaignConfig, RunSpec, Scheme};
+use turnpike_resilience::{
+    fault_campaign_hooked, CampaignConfig, CampaignHook, CampaignReport, ForkStats, RunSpec,
+    Scheme, StrikeRecord,
+};
 use turnpike_workloads::{kernel_by_name, Scale, Suite};
+
+/// The campaign on `threads` workers with an inert hook.
+fn campaign(
+    program: &turnpike_ir::Program,
+    spec: &RunSpec,
+    config: &CampaignConfig,
+    threads: usize,
+) -> (CampaignReport, Vec<StrikeRecord>, ForkStats) {
+    fault_campaign_hooked(program, spec, config, threads, CampaignHook::default()).unwrap()
+}
 
 fn program(name: &str) -> turnpike_ir::Program {
     kernel_by_name(Suite::Cpu2006, name, Scale::Smoke)
@@ -41,8 +54,8 @@ fn force_uniform_matches_plain_scheme_at_every_thread_count() {
             .clone()
             .with_policy(ProtectionPolicy::ForceUniform(mode));
         for threads in [1usize, 2, 4] {
-            let (pr, precs) = fault_campaign_records(&prog, &plain, &config(), threads).unwrap();
-            let (fr, frecs) = fault_campaign_records(&prog, &forced, &config(), threads).unwrap();
+            let (pr, precs, _) = campaign(&prog, &plain, &config(), threads);
+            let (fr, frecs, _) = campaign(&prog, &forced, &config(), threads);
             assert_eq!(pr, fr, "{scheme} vs forced {mode:?} at {threads} threads");
             assert_eq!(precs, frecs, "{scheme} records at {threads} threads");
         }
@@ -66,8 +79,8 @@ proptest! {
         let forced = plain
             .clone()
             .with_policy(ProtectionPolicy::ForceUniform(ProtectionMode::Turnpike));
-        let (pr, precs) = fault_campaign_records(&prog, &plain, &cfg, 2).unwrap();
-        let (fr, frecs) = fault_campaign_records(&prog, &forced, &cfg, 2).unwrap();
+        let (pr, precs, _) = campaign(&prog, &plain, &cfg, 2);
+        let (fr, frecs, _) = campaign(&prog, &forced, &cfg, 2);
         prop_assert_eq!(pr, fr);
         prop_assert_eq!(precs, frecs);
     }

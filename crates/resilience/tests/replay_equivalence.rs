@@ -8,8 +8,21 @@
 //! Fig-21 scheme ladder and at every thread count. The only observable
 //! difference is the [`ForkStats`] replay accounting.
 
-use turnpike_resilience::{fault_campaign_forked, CampaignConfig, RunSpec, Scheme};
+use turnpike_resilience::{
+    fault_campaign_hooked, CampaignConfig, CampaignHook, CampaignReport, ForkStats, RunSpec,
+    Scheme, StrikeRecord,
+};
 use turnpike_workloads::{kernel_by_name, Scale, Suite};
+
+/// The campaign on `threads` workers with an inert hook.
+fn campaign(
+    program: &turnpike_ir::Program,
+    spec: &RunSpec,
+    config: &CampaignConfig,
+    threads: usize,
+) -> (CampaignReport, Vec<StrikeRecord>, ForkStats) {
+    fault_campaign_hooked(program, spec, config, threads, CampaignHook::default()).unwrap()
+}
 
 fn config(early_exit: bool) -> CampaignConfig {
     CampaignConfig {
@@ -33,9 +46,9 @@ fn early_exit_campaign_is_byte_identical_across_ladder() {
             .with_snapshot_interval(Some(64));
         for threads in [1, 4] {
             let (on_report, on_records, on_stats) =
-                fault_campaign_forked(&program, &spec, &config(true), threads).unwrap();
+                campaign(&program, &spec, &config(true), threads);
             let (off_report, off_records, off_stats) =
-                fault_campaign_forked(&program, &spec, &config(false), threads).unwrap();
+                campaign(&program, &spec, &config(false), threads);
             assert_eq!(
                 on_report, off_report,
                 "{scheme} x{threads}: reports diverge"
@@ -83,10 +96,8 @@ fn early_exit_equivalence_holds_with_multiple_strikes_per_run() {
         early_exit,
         ..Default::default()
     };
-    let (on_report, on_records, on_stats) =
-        fault_campaign_forked(&program, &spec, &cfg(true), 2).unwrap();
-    let (off_report, off_records, _) =
-        fault_campaign_forked(&program, &spec, &cfg(false), 2).unwrap();
+    let (on_report, on_records, on_stats) = campaign(&program, &spec, &cfg(true), 2);
+    let (off_report, off_records, _) = campaign(&program, &spec, &cfg(false), 2);
     assert_eq!(on_report, off_report);
     assert_eq!(on_records, off_records);
     assert!(
@@ -103,7 +114,7 @@ fn early_exit_needs_snapshots() {
         .expect("hmmer is in the catalog")
         .program;
     let spec = RunSpec::new(Scheme::Turnpike).with_snapshot_interval(None);
-    let (report, _, stats) = fault_campaign_forked(
+    let (report, _, stats) = campaign(
         &program,
         &spec,
         &CampaignConfig {
@@ -114,8 +125,7 @@ fn early_exit_needs_snapshots() {
             ..Default::default()
         },
         2,
-    )
-    .unwrap();
+    );
     assert!(report.sdc_free());
     assert_eq!(stats.replay_exits, 0);
     assert_eq!(stats.hits, 0);

@@ -2,7 +2,7 @@
 //!
 //! Every run's fault plan derives from `(seed, global run index)` alone, so
 //! executing the index ranges of any contiguous partition as independent
-//! shards ([`fault_campaign_shard_hooked`]) and folding the shard reports
+//! shards ([`CampaignConfig::first_run`]) and folding the shard reports
 //! back together ([`CampaignReport::absorb`], ascending range order) must
 //! reproduce the unsharded campaign bit for bit — report, metrics, strike
 //! records, and fork accounting. The distributed coordinator in the bench
@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use turnpike_resilience::{
-    fault_campaign_forked, fault_campaign_shard_hooked, CampaignConfig, CampaignHook,
-    CampaignReport, ForkStats, RunSpec, Scheme, StrikeRecord,
+    fault_campaign_hooked, CampaignConfig, CampaignHook, CampaignReport, ForkStats, RunSpec,
+    Scheme, StrikeRecord,
 };
 use turnpike_workloads::{kernel_by_name, Scale, Suite};
 
@@ -46,15 +46,12 @@ fn run_sharded(
     let mut records = Vec::new();
     let mut fork = ForkStats::default();
     for &(start, end) in ranges {
-        let (report, recs, f) = fault_campaign_shard_hooked(
-            program,
-            spec,
-            &config(end - start),
-            threads,
-            CampaignHook::default(),
-            start,
-        )
-        .unwrap();
+        let shard = CampaignConfig {
+            first_run: start,
+            ..config(end - start)
+        };
+        let (report, recs, f) =
+            fault_campaign_hooked(program, spec, &shard, threads, CampaignHook::default()).unwrap();
         assert_eq!(report.runs, end - start);
         merged.absorb(&report);
         records.extend(recs);
@@ -96,7 +93,7 @@ proptest! {
             .with_snapshot_interval(Some(64));
 
         let (whole, whole_records, whole_fork) =
-            fault_campaign_forked(&program, &spec, &config(RUNS), 2).unwrap();
+            fault_campaign_hooked(&program, &spec, &config(RUNS), 2, CampaignHook::default()).unwrap();
         let (merged, merged_records, merged_fork) =
             run_sharded(&program, &spec, &ranges, threads);
 
@@ -116,7 +113,7 @@ fn singleton_and_whole_shards_match() {
     let spec = RunSpec::new(Scheme::Turnpike).with_histograms();
     let runs = 6;
     let (whole, whole_records, _) =
-        fault_campaign_forked(&program, &spec, &config(runs), 2).unwrap();
+        fault_campaign_hooked(&program, &spec, &config(runs), 2, CampaignHook::default()).unwrap();
 
     let singles: Vec<(usize, usize)> = (0..runs).map(|i| (i, i + 1)).collect();
     let (merged, merged_records, _) = run_sharded(&program, &spec, &singles, 1);

@@ -30,7 +30,7 @@ fn golden(
         // Shared pre-decoded translation, as campaigns attach it.
         core.attach_translation(Arc::new(Translation::new(&compiled.program)));
     }
-    core.run().unwrap()
+    core.run(&FaultPlan::none()).unwrap()
 }
 
 #[test]
@@ -92,7 +92,7 @@ proptest! {
             if translate {
                 core.attach_translation(Arc::new(Translation::new(&compiled.program)));
             }
-            core.run_with_faults(&plan).unwrap()
+            core.run(&plan).unwrap()
         };
         prop_assert_eq!(run(false), run(true), "{} {}: strike run diverges", k.name, scheme);
     }
@@ -134,8 +134,8 @@ proptest! {
         for (a, b) in snaps_i.iter().zip(&snaps_t).take(1).chain(
             snaps_i.iter().zip(&snaps_t).last(),
         ) {
-            let ra = Core::resume(&compiled.program, a, &FaultPlan::none()).unwrap();
-            let rb = Core::resume(&compiled.program, b, &FaultPlan::none()).unwrap();
+            let ra = Core::from_snapshot(&compiled.program, a).run(&FaultPlan::none()).unwrap();
+            let rb = Core::from_snapshot(&compiled.program, b).run(&FaultPlan::none()).unwrap();
             prop_assert_eq!(ra, rb, "{}: resumed outcomes diverge", k.name);
         }
     }

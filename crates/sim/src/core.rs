@@ -28,7 +28,7 @@ use crate::mem::PagedMem;
 use crate::rbb::Rbb;
 use crate::stats::{SimHists, SimStats};
 use crate::store_buffer::{EntryKind, SbEntry, StoreBuffer};
-use crate::trace::{StallKind, Trace, TraceEvent, TraceSink};
+use crate::trace::{StallKind, TraceEvent, TraceSink};
 use crate::translate::{DAddr, DKind, DOperand, Translation};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -51,7 +51,8 @@ pub enum SimError {
         /// Cycle at which the deadlock was diagnosed.
         cycle: u64,
     },
-    /// A fault's detection latency exceeds the configured WCDL.
+    /// A fault's detection latency exceeds the configured WCDL, or a
+    /// resumed core's plan strikes at or before its snapshot cycle.
     BadFaultPlan,
 }
 
@@ -63,7 +64,9 @@ impl std::fmt::Display for SimError {
             SimError::StoreDeadlock { cycle } => {
                 write!(f, "store buffer deadlock at cycle {cycle}")
             }
-            SimError::BadFaultPlan => write!(f, "fault detection latency exceeds WCDL"),
+            SimError::BadFaultPlan => {
+                f.write_str("fault latency above WCDL or strike at or before the fork point")
+            }
         }
     }
 }
@@ -242,6 +245,9 @@ pub struct Core<'a> {
     /// `(bit, detectable)`. Strikes in unprotected regions corrupt the
     /// value without tainting it (no detection hardware there).
     pending_datapath: Option<(u8, bool)>,
+    /// Cycle of the snapshot a resumed core started from; strikes must land
+    /// strictly after it. `None` for a core built by [`Core::new`].
+    fork_cycle: Option<u64>,
     /// Per-static-region protection switches, indexed by region id.
     /// Derived from (program, cfg); rebuilt on resume, never snapshotted.
     mode_flags: Vec<ModeFlags>,
@@ -278,8 +284,8 @@ pub struct Core<'a> {
 }
 
 /// Full microarchitectural state of a [`Core`] at the top of an issue-loop
-/// iteration, captured by [`Core::run_collecting_snapshots`] and resumed by
-/// [`Core::resume`].
+/// iteration, captured by [`Core::run_collecting_snapshots`] and resumed
+/// through [`Core::from_snapshot`].
 ///
 /// Cloning is cheap: the functional memories share pages copy-on-write
 /// ([`PagedMem`]), and everything else is flat data. Snapshots are
@@ -293,7 +299,7 @@ pub struct Core<'a> {
 /// after `C`: before the first strike `S`, no fault has fired, and the
 /// detection bound `min(strike + latency) >= S > C` never clamps a
 /// settle or redirects a stall, so the pre-strike state is identical to
-/// the fault-free prefix. [`Core::resume`] with such a plan therefore
+/// the fault-free prefix. A resumed core run under such a plan therefore
 /// reproduces the from-scratch faulty run bit-for-bit — stats included,
 /// because the snapshot carries the prefix's stats and histograms.
 #[derive(Debug, Clone)]
@@ -332,7 +338,8 @@ impl CoreSnapshot {
 }
 
 impl<'a> Core<'a> {
-    /// Build a core around a program.
+    /// Build a core around a program, in the loader's initial state: data
+    /// segment and register inputs installed, cycle 0.
     pub fn new(program: &'a MachProgram, cfg: SimConfig) -> Self {
         let mut memory = PagedMem::new();
         for (i, w) in program.data.words.iter().enumerate() {
@@ -348,45 +355,82 @@ impl<'a> Core<'a> {
             ckpt_memory.insert(turnpike_ir::ckpt_slot_addr(r.raw(), 0), v);
             coloring.preverify(r.raw());
         }
-        let caches = Hierarchy::new(&cfg);
-        let sb = StoreBuffer::new(cfg.sb_size);
-        let mode_flags = build_mode_flags(program, &cfg);
-        let region0_wcdl = mode_flags.first().map_or(cfg.wcdl, |f| f.wcdl);
-        let rbb = Rbb::new(cfg.rbb_size, region0_wcdl);
-        let clq: Box<dyn Clq> = if cfg.war_free {
-            build_clq(cfg.clq)
+        let region0_wcdl = if program.num_regions() == 0 {
+            cfg.wcdl
         } else {
-            build_clq(ClqKind::Off)
+            ModeFlags::for_mode(program.region_mode(RegionId(0)), &cfg).wcdl
         };
-        let hists = cfg.histograms.then(Box::<SimHists>::default);
-        Core {
-            cfg,
-            program,
+        // The initial state is moved, not cloned, into the core: a clone
+        // would keep a second handle on every memory page, and the first
+        // write to each page would then copy it.
+        let initial = CoreSnapshot {
             regs,
             reg_ready: [0; NUM_PHYS_REGS as usize],
             parity_bad: [false; NUM_PHYS_REGS as usize],
             tainted: [false; NUM_PHYS_REGS as usize],
             memory,
             ckpt_memory,
-            caches,
-            sb,
-            rbb,
-            clq,
+            caches: Hierarchy::new(&cfg),
+            sb: StoreBuffer::new(cfg.sb_size),
+            rbb: Rbb::new(cfg.rbb_size, region0_wcdl),
+            clq: build_clq(if cfg.war_free { cfg.clq } else { ClqKind::Off }),
             coloring,
             stats: SimStats::default(),
-            faults: Vec::new(),
-            next_fault: 0,
             pending_detect: Vec::new(),
             last_strike: None,
             pc: 0,
             cycle: 0,
-            slots_left: 0,
-            mem_left: 0,
+            slots_left: cfg.issue_width,
+            mem_left: 1,
             fetch_ready: 0,
             pending_datapath: None,
-            mode_flags,
+            hists: cfg.histograms.then(Box::<SimHists>::default),
+            cfg,
+        };
+        Self::from_state(program, initial, None)
+    }
+
+    /// Build a core that continues from `snap` (captured by
+    /// [`Core::run_collecting_snapshots`] on the same program).
+    ///
+    /// Per the [`CoreSnapshot`] determinism contract, running it under a
+    /// plan whose every strike lands strictly after `snap.cycle()` is
+    /// bit-identical to running the same plan from scratch; [`Core::run`]
+    /// rejects any other plan with [`SimError::BadFaultPlan`].
+    pub fn from_snapshot(program: &'a MachProgram, snap: &CoreSnapshot) -> Self {
+        Self::from_state(program, snap.clone(), Some(snap.cycle))
+    }
+
+    fn from_state(program: &'a MachProgram, s: CoreSnapshot, fork_cycle: Option<u64>) -> Self {
+        Core {
+            mode_flags: build_mode_flags(program, &s.cfg),
+            cfg: s.cfg,
+            program,
+            regs: s.regs,
+            reg_ready: s.reg_ready,
+            parity_bad: s.parity_bad,
+            tainted: s.tainted,
+            memory: s.memory,
+            ckpt_memory: s.ckpt_memory,
+            caches: s.caches,
+            sb: s.sb,
+            rbb: s.rbb,
+            clq: s.clq,
+            coloring: s.coloring,
+            stats: s.stats,
+            faults: Vec::new(),
+            next_fault: 0,
+            pending_detect: s.pending_detect,
+            last_strike: s.last_strike,
+            pc: s.pc,
+            cycle: s.cycle,
+            slots_left: s.slots_left,
+            mem_left: s.mem_left,
+            fetch_ready: s.fetch_ready,
+            pending_datapath: s.pending_datapath,
+            fork_cycle,
             sink: None,
-            hists,
+            hists: s.hists,
             settle_due: 0,
             snap_every: 0,
             next_snap: 0,
@@ -419,6 +463,15 @@ impl<'a> Core<'a> {
         self.sink = Some(sink);
     }
 
+    /// Attach an early-exit [`ReplayGuide`]: once the run's strikes have
+    /// fired and resolved, its state is probed against the guide's golden
+    /// snapshots and the run stops at the first provable reconvergence (see
+    /// [`SimOutcome::replay_saved`]). When convergence is never established
+    /// the outcome is bit-identical to an unguided run.
+    pub fn attach_replay(&mut self, guide: &'a ReplayGuide<'a>) {
+        self.replay = Some((guide, REPLAY_BUDGET));
+    }
+
     /// Forward an event to the attached sink. The untraced path must cost
     /// one predictable branch per call site: the handle test is forced
     /// inline and the actual dispatch outlined as cold, so building the
@@ -438,22 +491,26 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Run with fault injection.
+    /// Run to completion under `plan` ([`FaultPlan::none`] for a
+    /// fault-free run).
     ///
     /// # Errors
     ///
     /// See [`SimError`].
-    pub fn run_with_faults(mut self, plan: &FaultPlan) -> Result<SimOutcome, SimError> {
-        self.start(plan)?;
+    pub fn run(mut self, plan: &FaultPlan) -> Result<SimOutcome, SimError> {
+        self.install(plan)?;
         self.run_loop()
     }
 
-    /// Validate and install a fault plan, then arm the first issue cycle.
-    fn start(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
+    /// Validate and install a fault plan. The watchdog clamp is the same
+    /// for fresh and resumed cores, so a forked run aborts a hang at the
+    /// same absolute cycle as its from-scratch twin.
+    fn install(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
+        let fork = self.fork_cycle;
         if plan
             .faults()
             .iter()
-            .any(|f| f.detect_latency > self.cfg.wcdl)
+            .any(|f| f.detect_latency > self.cfg.wcdl || fork.is_some_and(|c| f.strike_cycle <= c))
         {
             return Err(SimError::BadFaultPlan);
         }
@@ -461,21 +518,19 @@ impl<'a> Core<'a> {
             self.cfg.cycle_limit = self.cfg.cycle_limit.min(w);
         }
         self.faults = plan.faults().to_vec();
-        self.slots_left = self.cfg.issue_width;
-        self.mem_left = 1;
         Ok(())
     }
 
-    /// Run with fault injection, capturing a [`CoreSnapshot`] roughly every
+    /// [`Core::run`], capturing a [`CoreSnapshot`] roughly every
     /// `interval` cycles (at the top of the issue loop, so the event-skip
     /// clock may overshoot a capture point; the next loop iteration takes
     /// it). Snapshot count is bounded: past 128 live snapshots every other
     /// one is dropped and the interval doubles, deterministically.
     ///
     /// Intended for fault-free golden runs: fault campaigns capture the
-    /// prefix once and [`Core::resume`] each strike run from the latest
-    /// snapshot strictly before its first strike. Capture is pure
-    /// observation — the outcome is identical to [`Core::run_with_faults`].
+    /// prefix once and resume each strike run ([`Core::from_snapshot`])
+    /// from the latest snapshot strictly before its first strike. Capture
+    /// is pure observation — the outcome is identical to [`Core::run`].
     ///
     /// # Errors
     ///
@@ -485,184 +540,11 @@ impl<'a> Core<'a> {
         plan: &FaultPlan,
         interval: u64,
     ) -> Result<(SimOutcome, Vec<CoreSnapshot>), SimError> {
-        self.start(plan)?;
+        self.install(plan)?;
         self.snap_every = interval.max(1);
         self.next_snap = self.snap_every;
         let outcome = self.run_loop()?;
         Ok((outcome, std::mem::take(&mut self.snapshots)))
-    }
-
-    /// Continue execution from `snap` under a new fault plan.
-    ///
-    /// Per the [`CoreSnapshot`] determinism contract, the outcome is
-    /// bit-identical to running the same plan from scratch provided every
-    /// strike cycle is strictly after `snap.cycle()` (debug-asserted).
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn resume(
-        program: &'a MachProgram,
-        snap: &CoreSnapshot,
-        plan: &FaultPlan,
-    ) -> Result<SimOutcome, SimError> {
-        Self::resume_translated(program, snap, plan, None)
-    }
-
-    /// [`Core::resume`] with a shared pre-built [`Translation`] of
-    /// `program` (see [`Core::attach_translation`]): fault campaigns fork
-    /// thousands of runs from one compiled program and pre-decode it once.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `translation` was built from a program of a different
-    /// length.
-    pub fn resume_translated(
-        program: &'a MachProgram,
-        snap: &CoreSnapshot,
-        plan: &FaultPlan,
-        translation: Option<Arc<Translation>>,
-    ) -> Result<SimOutcome, SimError> {
-        Self::resume_replay(program, snap, plan, translation, None)
-    }
-
-    /// [`Core::resume_translated`] with an optional early-exit
-    /// [`ReplayGuide`]: once the forked strike run's detection window has
-    /// closed, its state is probed against the guide's golden snapshots and
-    /// the run stops at the first provable reconvergence (see
-    /// [`SimOutcome::replay_saved`]). Without a guide (or when convergence
-    /// is never established) the outcome is bit-identical to
-    /// [`Core::resume_translated`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `translation` was built from a program of a different
-    /// length.
-    pub fn resume_replay(
-        program: &'a MachProgram,
-        snap: &CoreSnapshot,
-        plan: &FaultPlan,
-        translation: Option<Arc<Translation>>,
-        guide: Option<&'a ReplayGuide<'a>>,
-    ) -> Result<SimOutcome, SimError> {
-        if let Some(tr) = &translation {
-            assert_eq!(
-                tr.len(),
-                program.insts.len(),
-                "translation does not match the program"
-            );
-        }
-        debug_assert!(
-            plan.faults().iter().all(|f| f.strike_cycle > snap.cycle),
-            "fork point must lie strictly before the first strike"
-        );
-        let mut core = Core {
-            cfg: snap.cfg.clone(),
-            program,
-            regs: snap.regs,
-            reg_ready: snap.reg_ready,
-            parity_bad: snap.parity_bad,
-            tainted: snap.tainted,
-            memory: snap.memory.clone(),
-            ckpt_memory: snap.ckpt_memory.clone(),
-            caches: snap.caches.clone(),
-            sb: snap.sb.clone(),
-            rbb: snap.rbb.clone(),
-            clq: snap.clq.clone(),
-            coloring: snap.coloring.clone(),
-            stats: snap.stats.clone(),
-            faults: Vec::new(),
-            next_fault: 0,
-            pending_detect: snap.pending_detect.clone(),
-            last_strike: snap.last_strike,
-            pc: snap.pc,
-            cycle: snap.cycle,
-            slots_left: snap.slots_left,
-            mem_left: snap.mem_left,
-            fetch_ready: snap.fetch_ready,
-            pending_datapath: snap.pending_datapath,
-            mode_flags: build_mode_flags(program, &snap.cfg),
-            sink: None,
-            hists: snap.hists.clone(),
-            settle_due: 0,
-            snap_every: 0,
-            next_snap: 0,
-            snapshots: Vec::new(),
-            translation,
-            replay: guide.map(|g| (g, REPLAY_BUDGET)),
-        };
-        if plan
-            .faults()
-            .iter()
-            .any(|f| f.detect_latency > core.cfg.wcdl)
-        {
-            return Err(SimError::BadFaultPlan);
-        }
-        // Unlike `start`, slot budgets come from the snapshot (the capture
-        // point sits mid-cycle as far as slot accounting is concerned).
-        // The watchdog clamp matches `start` so forked and from-scratch
-        // runs abort a hang at the same absolute cycle.
-        if let Some(w) = plan.watchdog() {
-            core.cfg.cycle_limit = core.cfg.cycle_limit.min(w);
-        }
-        core.faults = plan.faults().to_vec();
-        core.run_loop()
-    }
-
-    /// Run without faults.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run(self) -> Result<SimOutcome, SimError> {
-        self.run_with_faults(&FaultPlan::none())
-    }
-
-    /// [`Core::run_with_faults`] with an early-exit [`ReplayGuide`] — the
-    /// from-scratch analog of [`Core::resume_replay`], used by campaigns
-    /// for strike runs that land before the first golden snapshot.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_with_replay(
-        mut self,
-        plan: &FaultPlan,
-        guide: &'a ReplayGuide<'a>,
-    ) -> Result<SimOutcome, SimError> {
-        self.replay = Some((guide, REPLAY_BUDGET));
-        self.run_with_faults(plan)
-    }
-
-    /// Run with fault injection and record resilience events into an
-    /// in-memory ring buffer holding the most recent `trace_cap` events
-    /// (a convenience wrapper over [`Core::attach_sink`] with a
-    /// [`Trace`] sink).
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_traced(
-        mut self,
-        plan: &FaultPlan,
-        trace_cap: usize,
-    ) -> Result<(SimOutcome, Trace), SimError> {
-        let sink = Rc::new(RefCell::new(Trace::new(trace_cap)));
-        self.attach_sink(sink.clone());
-        let outcome = self.run_with_faults(plan)?;
-        let trace = match Rc::try_unwrap(sink) {
-            Ok(cell) => cell.into_inner(),
-            Err(rc) => rc.borrow().clone(),
-        };
-        Ok((outcome, trace))
     }
 
     fn run_loop(&mut self) -> Result<SimOutcome, SimError> {
@@ -2059,7 +1941,9 @@ mod tests {
     fn baseline_runs_and_matches_functional_interp() {
         let p = store_loop(false);
         let golden = turnpike_isa::interp::run(&p, &Default::default()).unwrap();
-        let out = Core::new(&p, SimConfig::baseline()).run().unwrap();
+        let out = Core::new(&p, SimConfig::baseline())
+            .run(&FaultPlan::none())
+            .unwrap();
         assert_eq!(out.ret, golden.ret);
         assert_eq!(out.memory, golden.memory);
         assert!(out.stats.cycles > 0);
@@ -2069,8 +1953,12 @@ mod tests {
     #[test]
     fn turnstile_matches_functionally_but_runs_slower() {
         let p = store_loop(true);
-        let base = Core::new(&p, SimConfig::baseline()).run().unwrap();
-        let ts = Core::new(&p, SimConfig::turnstile(4, 30)).run().unwrap();
+        let base = Core::new(&p, SimConfig::baseline())
+            .run(&FaultPlan::none())
+            .unwrap();
+        let ts = Core::new(&p, SimConfig::turnstile(4, 30))
+            .run(&FaultPlan::none())
+            .unwrap();
         assert_eq!(ts.ret, base.ret);
         assert_eq!(ts.memory, base.memory);
         assert!(
@@ -2086,8 +1974,12 @@ mod tests {
     #[test]
     fn turnpike_bypasses_and_beats_turnstile() {
         let p = store_loop(true);
-        let ts = Core::new(&p, SimConfig::turnstile(4, 30)).run().unwrap();
-        let tp = Core::new(&p, SimConfig::turnpike(4, 30)).run().unwrap();
+        let ts = Core::new(&p, SimConfig::turnstile(4, 30))
+            .run(&FaultPlan::none())
+            .unwrap();
+        let tp = Core::new(&p, SimConfig::turnpike(4, 30))
+            .run(&FaultPlan::none())
+            .unwrap();
         assert_eq!(tp.ret, ts.ret);
         assert_eq!(tp.memory, ts.memory);
         assert!(
@@ -2106,11 +1998,19 @@ mod tests {
     #[test]
     fn wcdl_scaling_hurts_turnstile_more() {
         let p = store_loop(true);
-        let t10 = Core::new(&p, SimConfig::turnstile(4, 10)).run().unwrap();
-        let t50 = Core::new(&p, SimConfig::turnstile(4, 50)).run().unwrap();
+        let t10 = Core::new(&p, SimConfig::turnstile(4, 10))
+            .run(&FaultPlan::none())
+            .unwrap();
+        let t50 = Core::new(&p, SimConfig::turnstile(4, 50))
+            .run(&FaultPlan::none())
+            .unwrap();
         assert!(t50.stats.cycles > t10.stats.cycles);
-        let p10 = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
-        let p50 = Core::new(&p, SimConfig::turnpike(4, 50)).run().unwrap();
+        let p10 = Core::new(&p, SimConfig::turnpike(4, 10))
+            .run(&FaultPlan::none())
+            .unwrap();
+        let p50 = Core::new(&p, SimConfig::turnpike(4, 50))
+            .run(&FaultPlan::none())
+            .unwrap();
         let ts_growth = t50.stats.cycles as f64 / t10.stats.cycles as f64;
         let tp_growth = p50.stats.cycles as f64 / p10.stats.cycles as f64;
         assert!(
@@ -2122,7 +2022,9 @@ mod tests {
     #[test]
     fn parity_fault_recovers_without_sdc() {
         let p = store_loop(true);
-        let golden = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
+        let golden = Core::new(&p, SimConfig::turnpike(4, 10))
+            .run(&FaultPlan::none())
+            .unwrap();
         for cycle in [3, 10, 25, 40] {
             let plan = FaultPlan::new(vec![Fault {
                 strike_cycle: cycle,
@@ -2130,7 +2032,7 @@ mod tests {
                 kind: FaultKind::RegisterParity { reg: 1, bit: 3 },
             }]);
             let out = Core::new(&p, SimConfig::turnpike(4, 10))
-                .run_with_faults(&plan)
+                .run(&plan)
                 .unwrap();
             assert_eq!(out.ret, golden.ret, "strike at {cycle}");
             assert_eq!(out.memory, golden.memory, "strike at {cycle}");
@@ -2142,7 +2044,9 @@ mod tests {
     #[test]
     fn datapath_fault_recovers_without_sdc() {
         let p = store_loop(true);
-        let golden = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
+        let golden = Core::new(&p, SimConfig::turnpike(4, 10))
+            .run(&FaultPlan::none())
+            .unwrap();
         for cycle in [2, 7, 19, 33] {
             let plan = FaultPlan::new(vec![Fault {
                 strike_cycle: cycle,
@@ -2150,7 +2054,7 @@ mod tests {
                 kind: FaultKind::Datapath { bit: 17 },
             }]);
             let out = Core::new(&p, SimConfig::turnpike(4, 10))
-                .run_with_faults(&plan)
+                .run(&plan)
                 .unwrap();
             assert_eq!(out.ret, golden.ret, "strike at {cycle}");
             assert_eq!(out.memory, golden.memory, "strike at {cycle}");
@@ -2163,15 +2067,15 @@ mod tests {
         // with this plan, does) produce a different result — the SDC that
         // the resilient configurations must never show.
         let p = store_loop(false);
-        let golden = Core::new(&p, SimConfig::baseline()).run().unwrap();
+        let golden = Core::new(&p, SimConfig::baseline())
+            .run(&FaultPlan::none())
+            .unwrap();
         let plan = FaultPlan::new(vec![Fault {
             strike_cycle: 4,
             detect_latency: 5,
             kind: FaultKind::RegisterParity { reg: 1, bit: 40 },
         }]);
-        let out = Core::new(&p, SimConfig::baseline())
-            .run_with_faults(&plan)
-            .unwrap();
+        let out = Core::new(&p, SimConfig::baseline()).run(&plan).unwrap();
         assert!(
             out.memory != golden.memory || out.ret != golden.ret,
             "baseline has no recovery: corruption must be visible"
@@ -2187,9 +2091,45 @@ mod tests {
             kind: FaultKind::Datapath { bit: 1 },
         }]);
         let err = Core::new(&p, SimConfig::turnpike(4, 10))
-            .run_with_faults(&plan)
+            .run(&plan)
             .unwrap_err();
         assert_eq!(err, SimError::BadFaultPlan);
+    }
+
+    #[test]
+    fn resumed_core_rejects_strikes_at_or_before_the_fork_point_and_beyond_wcdl() {
+        let p = store_loop(true);
+        let cfg = SimConfig::turnpike(4, 10);
+        let (golden, snaps) = Core::new(&p, cfg.clone())
+            .run_collecting_snapshots(&FaultPlan::none(), 8)
+            .unwrap();
+        let snap = snaps.last().expect("the loop outlives one interval");
+        let strike = |strike_cycle, detect_latency| {
+            FaultPlan::new(vec![Fault {
+                strike_cycle,
+                detect_latency,
+                kind: FaultKind::Datapath { bit: 1 },
+            }])
+        };
+        for at in [0, snap.cycle()] {
+            let err = Core::from_snapshot(&p, snap)
+                .run(&strike(at, 5))
+                .unwrap_err();
+            assert_eq!(err, SimError::BadFaultPlan, "strike at {at}");
+        }
+        let err = Core::from_snapshot(&p, snap)
+            .run(&strike(snap.cycle() + 1, 99))
+            .unwrap_err();
+        assert_eq!(err, SimError::BadFaultPlan);
+        // A strike strictly after the fork point resumes to the
+        // from-scratch outcome, and a fault-free resume to the golden one.
+        let plan = strike(snap.cycle() + 1, 5);
+        let scratch = Core::new(&p, cfg).run(&plan).unwrap();
+        assert_eq!(Core::from_snapshot(&p, snap).run(&plan).unwrap(), scratch);
+        let resumed = Core::from_snapshot(&p, snap)
+            .run(&FaultPlan::none())
+            .unwrap();
+        assert_eq!(resumed, golden);
     }
 
     #[test]
@@ -2215,7 +2155,9 @@ mod tests {
         ];
         let p = MachProgram::from_insts("fwd", insts, DataSegment::zeroed(0x1000, 1));
         // Turnstile: store sits in the SB; the load still returns 42.
-        let out = Core::new(&p, SimConfig::turnstile(4, 50)).run().unwrap();
+        let out = Core::new(&p, SimConfig::turnstile(4, 50))
+            .run(&FaultPlan::none())
+            .unwrap();
         assert_eq!(out.ret, Some(42));
         assert_eq!(out.memory.get(&0x1000), Some(&42));
     }

@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use turnpike_sim::{Core, SimConfig};
+//! use turnpike_sim::{Core, FaultPlan, SimConfig};
 //! use turnpike_isa::{MachInst, MachProgram, MOperand, PhysReg};
 //! use turnpike_ir::DataSegment;
 //!
@@ -34,7 +34,7 @@
 //!     ],
 //!     DataSegment::zeroed(0x1000, 0),
 //! );
-//! let out = Core::new(&prog, SimConfig::baseline()).run()?;
+//! let out = Core::new(&prog, SimConfig::baseline()).run(&FaultPlan::none())?;
 //! assert_eq!(out.ret, Some(42));
 //! # Ok(())
 //! # }

@@ -5,7 +5,19 @@
 use proptest::prelude::*;
 use turnpike_ir::{BinOp, CmpOp, DataSegment};
 use turnpike_isa::{MOperand, MachAddr, MachInst, MachProgram, PhysReg, RecoveryBlock, RegionId};
-use turnpike_sim::{Core, Fault, FaultKind, FaultPlan, SimConfig, TraceEvent};
+use turnpike_sim::{
+    shared_sink, Core, Fault, FaultKind, FaultPlan, SimConfig, SimOutcome, Trace, TraceEvent,
+};
+
+/// Run `core` under `plan` with a ring-buffer [`Trace`] of the last `cap`
+/// events attached.
+fn traced_run(mut core: Core<'_>, plan: &FaultPlan, cap: usize) -> (SimOutcome, Trace) {
+    let sink = shared_sink(Trace::new(cap));
+    core.attach_sink(sink.clone());
+    let out = core.run(plan).unwrap();
+    let trace = sink.borrow().clone();
+    (out, trace)
+}
 
 fn r(i: u8) -> PhysReg {
     PhysReg::new(i).unwrap()
@@ -105,7 +117,7 @@ proptest! {
             FaultKind::Datapath { bit: 21 }
         };
         let plan = FaultPlan::new(vec![Fault { strike_cycle, detect_latency, kind }]);
-        let (out, trace) = Core::new(&p, sc).run_traced(&plan, 1 << 16).unwrap();
+        let (out, trace) = traced_run(Core::new(&p, sc), &plan, 1 << 16);
         prop_assert_eq!(out.ret, Some(6), "resilient run must recover");
         prop_assert_eq!(trace.dropped, 0, "cap must not truncate this run");
         let evs = trace.events();
@@ -161,7 +173,7 @@ proptest! {
         } else {
             SimConfig::turnstile(sb_size, wcdl)
         };
-        let (out, trace) = Core::new(&p, sc).run_traced(&FaultPlan::none(), 1 << 16).unwrap();
+        let (out, trace) = traced_run(Core::new(&p, sc), &FaultPlan::none(), 1 << 16);
         prop_assert_eq!(out.ret, Some(6));
         let evs = trace.events();
         let q = evs.iter().filter(|e| matches!(e, TraceEvent::Quarantined { .. })).count() as u64;

@@ -5,7 +5,17 @@
 
 use turnpike_ir::{BinOp, CmpOp, DataSegment};
 use turnpike_isa::{MOperand, MachAddr, MachInst, MachProgram, PhysReg, RecoveryBlock, RegionId};
-use turnpike_sim::{Core, Fault, FaultKind, FaultPlan, SimConfig};
+use turnpike_sim::{shared_sink, Core, Fault, FaultKind, FaultPlan, SimConfig, SimOutcome, Trace};
+
+/// Run `core` under `plan` with a ring-buffer [`Trace`] of the last `cap`
+/// events attached.
+fn traced_run(mut core: Core<'_>, plan: &FaultPlan, cap: usize) -> (SimOutcome, Trace) {
+    let sink = shared_sink(Trace::new(cap));
+    core.attach_sink(sink.clone());
+    let out = core.run(plan).unwrap();
+    let trace = sink.borrow().clone();
+    (out, trace)
+}
 
 fn r(i: u8) -> PhysReg {
     PhysReg::new(i).unwrap()
@@ -85,8 +95,8 @@ fn dense_program(iters: i64) -> MachProgram {
 
 fn check_plan(cfg: SimConfig, plan: FaultPlan) {
     let p = dense_program(12);
-    let golden = Core::new(&p, cfg.clone()).run().unwrap();
-    let run = Core::new(&p, cfg).run_with_faults(&plan).unwrap();
+    let golden = Core::new(&p, cfg.clone()).run(&FaultPlan::none()).unwrap();
+    let run = Core::new(&p, cfg).run(&plan).unwrap();
     assert_eq!(run.ret, golden.ret, "{plan:?}");
     assert_eq!(run.memory, golden.memory, "{plan:?}");
 }
@@ -96,7 +106,9 @@ fn strike_during_sb_stall_window() {
     // Turnstile with a long WCDL: stores stall on a full SB constantly.
     // Sweep strikes across the whole run so many land inside stall waits.
     let p = dense_program(12);
-    let golden = Core::new(&p, SimConfig::turnstile(4, 40)).run().unwrap();
+    let golden = Core::new(&p, SimConfig::turnstile(4, 40))
+        .run(&FaultPlan::none())
+        .unwrap();
     let horizon = golden.stats.cycles;
     for k in 1..24 {
         let cycle = horizon * k / 24;
@@ -115,7 +127,9 @@ fn strike_during_sb_stall_window() {
 #[test]
 fn strike_sweep_on_turnpike() {
     let p = dense_program(12);
-    let golden = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
+    let golden = Core::new(&p, SimConfig::turnpike(4, 10))
+        .run(&FaultPlan::none())
+        .unwrap();
     let horizon = golden.stats.cycles;
     for k in 1..24 {
         let cycle = horizon * k / 24;
@@ -162,9 +176,11 @@ fn strike_exactly_at_verification_instants() {
     // Discover region end cycles from a traced clean run, then strike one
     // cycle before, at, and after each verification instant.
     let p = dense_program(8);
-    let (golden, trace) = Core::new(&p, SimConfig::turnpike(4, 10))
-        .run_traced(&FaultPlan::none(), 100_000)
-        .unwrap();
+    let (golden, trace) = traced_run(
+        Core::new(&p, SimConfig::turnpike(4, 10)),
+        &FaultPlan::none(),
+        100_000,
+    );
     let verify_cycles: Vec<u64> = trace
         .events()
         .iter()
@@ -187,7 +203,7 @@ fn strike_exactly_at_verification_instants() {
                 kind: FaultKind::RegisterParity { reg: 1, bit: 1 },
             }]);
             let run = Core::new(&p, SimConfig::turnpike(4, 10))
-                .run_with_faults(&plan)
+                .run(&plan)
                 .unwrap();
             assert_eq!(run.ret, golden.ret, "strike at {cycle}");
             assert_eq!(run.memory, golden.memory, "strike at {cycle}");
@@ -198,14 +214,16 @@ fn strike_exactly_at_verification_instants() {
 #[test]
 fn post_completion_strikes_are_harmless() {
     let p = dense_program(6);
-    let golden = Core::new(&p, SimConfig::turnpike(4, 10)).run().unwrap();
+    let golden = Core::new(&p, SimConfig::turnpike(4, 10))
+        .run(&FaultPlan::none())
+        .unwrap();
     let plan = FaultPlan::new(vec![Fault {
         strike_cycle: golden.stats.cycles + 1000,
         detect_latency: 5,
         kind: FaultKind::RegisterParity { reg: 1, bit: 1 },
     }]);
     let run = Core::new(&p, SimConfig::turnpike(4, 10))
-        .run_with_faults(&plan)
+        .run(&plan)
         .unwrap();
     assert_eq!(run.ret, golden.ret);
     assert_eq!(run.memory, golden.memory);

@@ -4,7 +4,19 @@
 
 use turnpike_ir::{BinOp, CmpOp, DataSegment};
 use turnpike_isa::{MOperand, MachAddr, MachInst, MachProgram, PhysReg, RecoveryBlock, RegionId};
-use turnpike_sim::{Core, Fault, FaultKind, FaultPlan, SimConfig, TraceEvent};
+use turnpike_sim::{
+    shared_sink, Core, Fault, FaultKind, FaultPlan, SimConfig, SimOutcome, Trace, TraceEvent,
+};
+
+/// Run `core` under `plan` with a ring-buffer [`Trace`] of the last `cap`
+/// events attached.
+fn traced_run(mut core: Core<'_>, plan: &FaultPlan, cap: usize) -> (SimOutcome, Trace) {
+    let sink = shared_sink(Trace::new(cap));
+    core.attach_sink(sink.clone());
+    let out = core.run(plan).unwrap();
+    let trace = sink.borrow().clone();
+    (out, trace)
+}
 
 fn r(i: u8) -> PhysReg {
     PhysReg::new(i).unwrap()
@@ -79,9 +91,11 @@ fn program() -> MachProgram {
 #[test]
 fn fault_free_trace_is_consistent() {
     let p = program();
-    let (out, trace) = Core::new(&p, SimConfig::turnstile(4, 10))
-        .run_traced(&FaultPlan::none(), 4096)
-        .unwrap();
+    let (out, trace) = traced_run(
+        Core::new(&p, SimConfig::turnstile(4, 10)),
+        &FaultPlan::none(),
+        4096,
+    );
     assert_eq!(out.ret, Some(6));
     let evs = trace.events();
     assert!(!evs.is_empty());
@@ -133,9 +147,7 @@ fn faulted_trace_shows_detection_then_recovery() {
         detect_latency: 6,
         kind: FaultKind::RegisterParity { reg: 1, bit: 2 },
     }]);
-    let (out, trace) = Core::new(&p, SimConfig::turnpike(4, 10))
-        .run_traced(&plan, 4096)
-        .unwrap();
+    let (out, trace) = traced_run(Core::new(&p, SimConfig::turnpike(4, 10)), &plan, 4096);
     assert_eq!(out.ret, Some(6), "recovered run matches");
     let evs = trace.events();
     let strike = evs
@@ -166,9 +178,11 @@ fn faulted_trace_shows_detection_then_recovery() {
 #[test]
 fn turnpike_trace_shows_fast_releases() {
     let p = program();
-    let (_, trace) = Core::new(&p, SimConfig::turnpike(4, 10))
-        .run_traced(&FaultPlan::none(), 4096)
-        .unwrap();
+    let (_, trace) = traced_run(
+        Core::new(&p, SimConfig::turnpike(4, 10)),
+        &FaultPlan::none(),
+        4096,
+    );
     let colored = trace
         .filter(|e| matches!(e, TraceEvent::ColoredRelease { .. }))
         .count();

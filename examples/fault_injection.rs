@@ -6,7 +6,7 @@
 //! cargo run --example fault_injection
 //! ```
 
-use turnpike::resilience::{fault_campaign, CampaignConfig, RunSpec, Scheme};
+use turnpike::resilience::{fault_campaign_hooked, CampaignConfig, RunSpec, Scheme};
 use turnpike::workloads::{kernel_by_name, Scale, Suite};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,8 +21,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
 
+    let campaign = |scheme| {
+        fault_campaign_hooked(
+            &kernel.program,
+            &RunSpec::new(scheme),
+            &config,
+            1,
+            Default::default(),
+        )
+        .map(|(report, _records, _fork)| report)
+    };
     for scheme in [Scheme::Turnstile, Scheme::Turnpike] {
-        let report = fault_campaign(&kernel.program, &RunSpec::new(scheme), &config)?;
+        let report = campaign(scheme)?;
         println!(
             "{:<10} runs={} detections={} recoveries={} SDC={} {}",
             scheme.label(),
@@ -41,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The baseline has no sensors and no recovery: strikes are free to
     // corrupt the output. (Some strikes still land in dead state.)
-    let report = fault_campaign(&kernel.program, &RunSpec::new(Scheme::Baseline), &config)?;
+    let report = campaign(Scheme::Baseline)?;
     println!(
         "{:<10} runs={} SDC={} (no protection: corruption is possible)",
         Scheme::Baseline.label(),

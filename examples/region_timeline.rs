@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sink = shared_sink(ChromeTrace::new());
     let mut core = Core::new(&compiled.program, SimConfig::turnpike(4, 10));
     core.attach_sink(sink.clone());
-    let outcome = core.run_with_faults(&plan)?;
+    let outcome = core.run(&plan)?;
     let chrome = sink.borrow();
 
     println!(

@@ -4,7 +4,7 @@
 //! (histograms enabled, no sink).
 use std::time::Instant;
 use turnpike::compiler::{compile, CompilerConfig};
-use turnpike::sim::{shared_sink, Core, SimConfig, Trace};
+use turnpike::sim::{shared_sink, Core, FaultPlan, SimConfig, Trace};
 use turnpike::workloads::{kernel_by_name, Scale, Suite};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
                 if mode == "traced" {
                     core.attach_sink(shared_sink(Trace::new(1 << 16)));
                 }
-                core.run().unwrap();
+                core.run(&FaultPlan::none()).unwrap();
             };
             for _ in 0..20 {
                 one(sc.clone());

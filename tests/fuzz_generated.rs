@@ -4,8 +4,22 @@
 use std::collections::BTreeMap;
 use turnpike::compiler::SPILL_BASE;
 use turnpike::ir::interp;
-use turnpike::resilience::{fault_campaign, run_kernel, CampaignConfig, RunSpec, Scheme};
+use turnpike::ir::Program;
+use turnpike::resilience::{
+    fault_campaign_hooked, run_kernel, CampaignConfig, CampaignHook, CampaignReport, RunError,
+    RunSpec, Scheme,
+};
 use turnpike::workloads::{generate, GeneratorConfig};
+
+/// A serial campaign with an inert hook, reporting only the aggregate.
+fn campaign(
+    program: &Program,
+    spec: &RunSpec,
+    config: &CampaignConfig,
+) -> Result<CampaignReport, RunError> {
+    fault_campaign_hooked(program, spec, config, 1, CampaignHook::default())
+        .map(|(report, _records, _fork)| report)
+}
 
 fn data_only(mem: &BTreeMap<u64, i64>) -> BTreeMap<u64, i64> {
     mem.iter()
@@ -50,7 +64,7 @@ fn generated_kernels_are_equivalent_under_all_schemes() {
 fn generated_kernels_survive_fault_campaigns() {
     for seed in 0..6u64 {
         let p = generate(seed, &GeneratorConfig::default());
-        let report = fault_campaign(
+        let report = campaign(
             &p,
             &RunSpec::new(Scheme::Turnpike),
             &CampaignConfig {

@@ -1,8 +1,22 @@
 //! Cross-crate resilience invariants: zero SDC under fault injection, and
 //! the performance orderings the paper's figures rest on.
 
-use turnpike::resilience::{fault_campaign, geomean, run_kernel, CampaignConfig, RunSpec, Scheme};
+use turnpike::ir::Program;
+use turnpike::resilience::{
+    fault_campaign_hooked, geomean, run_kernel, CampaignConfig, CampaignHook, CampaignReport,
+    RunError, RunSpec, Scheme,
+};
 use turnpike::workloads::{all_kernels, Scale};
+
+/// A serial campaign with an inert hook, reporting only the aggregate.
+fn campaign(
+    program: &Program,
+    spec: &RunSpec,
+    config: &CampaignConfig,
+) -> Result<CampaignReport, RunError> {
+    fault_campaign_hooked(program, spec, config, 1, CampaignHook::default())
+        .map(|(report, _records, _fork)| report)
+}
 
 #[test]
 fn turnpike_is_sdc_free_across_the_catalog() {
@@ -11,7 +25,7 @@ fn turnpike_is_sdc_free_across_the_catalog() {
         if i % 3 != 0 {
             continue;
         }
-        let report = fault_campaign(
+        let report = campaign(
             &k.program,
             &RunSpec::new(Scheme::Turnpike),
             &CampaignConfig {
@@ -32,7 +46,7 @@ fn turnstile_is_sdc_free_across_the_catalog() {
         if i % 4 != 0 {
             continue;
         }
-        let report = fault_campaign(
+        let report = campaign(
             &k.program,
             &RunSpec::new(Scheme::Turnstile),
             &CampaignConfig {
@@ -52,7 +66,7 @@ fn ladder_rungs_are_sdc_free_on_a_sample() {
     let kernels = all_kernels(Scale::Smoke);
     let k = &kernels[7]; // leslie3d: stencil with stores and pressure
     for scheme in Scheme::LADDER {
-        let report = fault_campaign(
+        let report = campaign(
             &k.program,
             &RunSpec::new(scheme),
             &CampaignConfig {
@@ -71,7 +85,7 @@ fn ladder_rungs_are_sdc_free_on_a_sample() {
 fn bursts_of_strikes_recover() {
     let kernels = all_kernels(Scale::Smoke);
     let k = &kernels[1]; // bwaves: store-heavy
-    let report = fault_campaign(
+    let report = campaign(
         &k.program,
         &RunSpec::new(Scheme::Turnpike),
         &CampaignConfig {
