@@ -110,7 +110,7 @@ use turnpike_serve::{
     loadgen, loadgen_fleet, Arrival, Client, FleetLoadgenConfig, JobKind, JobRequest,
     LoadgenConfig, Outcome, Server, ServerConfig, Store,
 };
-use turnpike_sim::{Core, FaultPlan, Translation};
+use turnpike_sim::{Core, FaultPlan, Refusal, Translation};
 use turnpike_workloads::{all_kernels, Scale, Suite};
 
 /// The target list rendered from the registry, one aligned line per target.
@@ -1680,14 +1680,25 @@ fn bench_json(
         registry.counter(Counter::BenchRunHits),
         registry.counter(Counter::BenchRunMisses)
     ));
+    let refusals: Vec<String> = Refusal::ALL
+        .iter()
+        .map(|&r| {
+            let name = r.counter().name().rsplit('.').next().unwrap_or_default();
+            format!("\"{name}\": {}", registry.counter(r.counter()))
+        })
+        .collect();
     out.push_str(&format!(
         "  \"fork\": {{\"hits\": {}, \"misses\": {}, \"prefix_cycles_saved\": {}, \
-         \"replay_exits\": {}, \"replay_cycles_saved\": {}}},\n",
+         \"replay_exits\": {}, \"replay_cycles_saved\": {}, \"replay_refusals\": {{{}}}, \
+         \"replay_budget_exhausted\": {}, \"replay_never_matched\": {}}},\n",
         registry.counter(Counter::CampaignForkHits),
         registry.counter(Counter::CampaignForkMisses),
         registry.counter(Counter::CampaignForkCyclesSaved),
         registry.counter(Counter::CampaignReplayExits),
-        registry.counter(Counter::CampaignReplayCyclesSaved)
+        registry.counter(Counter::CampaignReplayCyclesSaved),
+        refusals.join(", "),
+        registry.counter(Counter::CampaignReplayBudgetExhausted),
+        registry.counter(Counter::CampaignReplayNeverMatched)
     ));
     out.push_str(&format!(
         "  \"histograms\": {},\n",

@@ -201,6 +201,44 @@ impl MachProgram {
         })
     }
 
+    /// Registers live on entry to each instruction: one mask per PC, bit
+    /// `r` set when some path from that PC reads [`PhysReg`](crate::PhysReg)
+    /// `r` (a [`MachInst::uses`] operand, which includes checkpoint sources
+    /// and the returned value) before any instruction defines it.
+    ///
+    /// A backward fixpoint over the flat instruction stream. Successors are
+    /// the fall-through, a `Jump` target, both `BranchNz` edges, and nothing
+    /// after `Ret`; a successor outside the program counts as reading every
+    /// register, so a malformed program errs toward "live".
+    pub fn live_in(&self) -> Vec<u32> {
+        const _: () = assert!(crate::reg::NUM_PHYS_REGS as u32 <= u32::BITS);
+        const ALL: u32 = u32::MAX >> (u32::BITS - crate::reg::NUM_PHYS_REGS as u32);
+        let mut live = vec![0u32; self.insts.len()];
+        loop {
+            let mut changed = false;
+            for pc in (0..self.insts.len()).rev() {
+                let at = |t: usize| live.get(t).copied().unwrap_or(ALL);
+                let inst = self.insts[pc];
+                let out = match inst {
+                    MachInst::Ret { .. } => 0,
+                    MachInst::Jump { target } => at(target as usize),
+                    MachInst::BranchNz { target, .. } => at(pc + 1) | at(target as usize),
+                    _ => at(pc + 1),
+                };
+                let def = inst.def().map_or(0, |r| 1u32 << r.index());
+                let uses = inst.uses().iter().fold(0u32, |m, r| m | 1 << r.index());
+                let mask = (out & !def) | uses;
+                if mask != live[pc] {
+                    live[pc] = mask;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return live;
+            }
+        }
+    }
+
     /// Static code size in bytes under the fixed 8-byte encoding.
     pub fn code_bytes(&self) -> u64 {
         self.insts.len() as u64 * 8
@@ -399,6 +437,44 @@ mod tests {
             },
         );
         assert_eq!(p.validate(), Ok(()));
+    }
+
+    #[test]
+    fn live_in_follows_every_edge() {
+        let bit = |i: u8| 1u32 << i;
+        let p = MachProgram::from_insts(
+            "l",
+            vec![
+                // 0: r1 = r0 + 1   (r0 read, r1 defined)
+                MachInst::Bin {
+                    op: BinOp::Add,
+                    dst: r(1),
+                    lhs: r(0),
+                    rhs: MOperand::Imm(1),
+                },
+                // 1: ckpt r1
+                MachInst::Ckpt { reg: r(1) },
+                // 2: if r2 goto 0
+                MachInst::BranchNz {
+                    cond: r(2),
+                    target: 0,
+                },
+                // 3: ret r3
+                MachInst::Ret {
+                    value: Some(MOperand::Reg(r(3))),
+                },
+                // 4: jump past the end
+                MachInst::Jump { target: 9 },
+            ],
+            DataSegment::zeroed(0, 0),
+        );
+        let live = p.live_in();
+        let loop_live = bit(0) | bit(2) | bit(3);
+        assert_eq!(live[0], loop_live, "r1 is defined before its checkpoint");
+        assert_eq!(live[1], bit(1) | loop_live);
+        assert_eq!(live[2], loop_live, "the back edge keeps r0 live");
+        assert_eq!(live[3], bit(3), "nothing is live after ret");
+        assert_eq!(live[4], u32::MAX, "an out-of-range target reads everything");
     }
 
     #[test]

@@ -187,6 +187,39 @@ counters! {
     CampaignReplayExits => ("campaign.replay_exits", Sum),
     /// Post-convergence cycles skipped by early exit (sum over such runs).
     CampaignReplayCyclesSaved => ("campaign.replay_cycles_saved", Sum),
+    /// Early-exit probes refused: fetch or register readiness differed.
+    CampaignReplayRefusedReadiness => ("campaign.replay_refused.readiness", Sum),
+    /// Early-exit probes refused: region boundary buffer differed.
+    CampaignReplayRefusedRbb => ("campaign.replay_refused.rbb", Sum),
+    /// Early-exit probes refused: gated store buffer differed.
+    CampaignReplayRefusedSb => ("campaign.replay_refused.sb", Sum),
+    /// Early-exit probes refused: checkpoint coloring differed.
+    CampaignReplayRefusedColoring => ("campaign.replay_refused.coloring", Sum),
+    /// Early-exit probes refused: CLQ signature differed.
+    CampaignReplayRefusedClq => ("campaign.replay_refused.clq", Sum),
+    /// Early-exit probes refused: L1 occupancy or tag set differed.
+    CampaignReplayRefusedL1Tags => ("campaign.replay_refused.l1_tags", Sum),
+    /// Early-exit probes refused: L1 slot order or LRU ranks differed.
+    CampaignReplayRefusedL1Rank => ("campaign.replay_refused.l1_rank", Sum),
+    /// Early-exit probes refused: L2 occupancy or tag set differed.
+    CampaignReplayRefusedL2Tags => ("campaign.replay_refused.l2_tags", Sum),
+    /// Early-exit probes refused: L2 slot order or LRU ranks differed.
+    CampaignReplayRefusedL2Rank => ("campaign.replay_refused.l2_rank", Sum),
+    /// Early-exit probes refused: data memory differed.
+    CampaignReplayRefusedMemory => ("campaign.replay_refused.memory", Sum),
+    /// Early-exit probes refused: checkpoint storage differed.
+    CampaignReplayRefusedCkptMemory => ("campaign.replay_refused.ckpt_memory", Sum),
+    /// Early-exit probes refused: a peak statistic was not synthesizable.
+    CampaignReplayRefusedPeak => ("campaign.replay_refused.peak", Sum),
+    /// Early-exit probes refused: a histogram was not synthesizable.
+    CampaignReplayRefusedHistogram => ("campaign.replay_refused.histogram", Sum),
+    /// Early-exit probes refused: the exit would overrun the cycle limit.
+    CampaignReplayRefusedCycleLimit => ("campaign.replay_refused.cycle_limit", Sum),
+    /// Strike runs whose refusals used up the whole probe budget.
+    CampaignReplayBudgetExhausted => ("campaign.replay_budget_exhausted", Sum),
+    /// Guided strike runs that never matched a golden snapshot's live
+    /// registers.
+    CampaignReplayNeverMatched => ("campaign.replay_never_matched", Sum),
 
     // — evaluation harness —
     /// Compile requests served from the engine's compile cache.

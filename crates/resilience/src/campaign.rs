@@ -20,7 +20,8 @@ use turnpike_ir::Program;
 use turnpike_metrics::{RateEstimator, ThroughputMeter};
 use turnpike_sensor::StrikeSampler;
 use turnpike_sim::{
-    Core, Fault, FaultKind, FaultPlan, ReplayGuide, SimError, SimOutcome, Translation,
+    Core, Fault, FaultKind, FaultPlan, Refusal, ReplayCensus, ReplayGuide, SimError, SimOutcome,
+    Translation,
 };
 
 /// Process-wide default for [`CampaignConfig::early_exit`]: on unless the
@@ -195,6 +196,15 @@ pub struct ForkStats {
     /// Post-convergence cycles skipped, summed over early-exited runs (the
     /// simulated suffix the full-replay path would have executed).
     pub replay_cycles_saved: u64,
+    /// Refused early-exit probes by reason, indexed like [`Refusal::ALL`],
+    /// summed over runs that finished (a watchdog-aborted run returns no
+    /// census).
+    pub replay_refusals: [u64; Refusal::ALL.len()],
+    /// Runs whose refusals used up the whole probe budget.
+    pub replay_budget_exhausted: usize,
+    /// Guided runs that finished without any probe matching a golden
+    /// snapshot's live registers.
+    pub replay_never_matched: usize,
 }
 
 impl ForkStats {
@@ -209,7 +219,27 @@ impl ForkStats {
         m.add(Counter::CampaignForkCyclesSaved, self.prefix_cycles_saved);
         m.add(Counter::CampaignReplayExits, self.replay_exits as u64);
         m.add(Counter::CampaignReplayCyclesSaved, self.replay_cycles_saved);
+        for (&reason, &n) in Refusal::ALL.iter().zip(&self.replay_refusals) {
+            m.add(reason.counter(), n);
+        }
+        m.add(
+            Counter::CampaignReplayBudgetExhausted,
+            self.replay_budget_exhausted as u64,
+        );
+        m.add(
+            Counter::CampaignReplayNeverMatched,
+            self.replay_never_matched as u64,
+        );
         m
+    }
+
+    /// Fold one finished run's early-exit probe census.
+    fn absorb_census(&mut self, census: &ReplayCensus) {
+        for (total, &n) in self.replay_refusals.iter_mut().zip(&census.refusals) {
+            *total += u64::from(n);
+        }
+        self.replay_budget_exhausted += usize::from(census.budget_exhausted);
+        self.replay_never_matched += usize::from(census.never_matched);
     }
 }
 
@@ -843,6 +873,7 @@ fn fold_run(
         fork.replay_exits += 1;
         fork.replay_cycles_saved += saved;
     }
+    fork.absorb_census(&run.outcome.replay_census);
     report.recoveries += run.outcome.stats.recoveries;
     report.detections += run.outcome.stats.detections;
     report.parity_detections += run.outcome.stats.parity_detections;

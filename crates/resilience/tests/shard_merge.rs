@@ -60,6 +60,11 @@ fn run_sharded(
         fork.prefix_cycles_saved += f.prefix_cycles_saved;
         fork.replay_exits += f.replay_exits;
         fork.replay_cycles_saved += f.replay_cycles_saved;
+        for (total, n) in fork.replay_refusals.iter_mut().zip(f.replay_refusals) {
+            *total += n;
+        }
+        fork.replay_budget_exhausted += f.replay_budget_exhausted;
+        fork.replay_never_matched += f.replay_never_matched;
     }
     (merged, records, fork)
 }

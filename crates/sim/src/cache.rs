@@ -4,6 +4,8 @@
 //! tracks tags with LRU replacement to decide hit/miss latencies. Write-back,
 //! write-allocate, matching the configured L1D/L2 hierarchy.
 
+use crate::core::Refusal;
+
 /// One set-associative, LRU, tag-only cache level.
 ///
 /// Lines live in one flat `num_sets * ways` array with a per-set occupancy
@@ -111,35 +113,60 @@ impl Cache {
     /// all in the past), and agreement on which lines are stamped *exactly
     /// now* — a future same-cycle access can tie only with those. The
     /// hit/miss counters are statistics, synthesized separately.
-    pub(crate) fn replay_equivalent(&self, golden: &Cache, self_now: u64, golden_now: u64) -> bool {
+    ///
+    /// A refused set is classified for the early-exit census: the same tags
+    /// in another slot or LRU order is [`CacheDiff::Rank`], anything else
+    /// (a different occupancy or tag set) is [`CacheDiff::Tags`].
+    pub(crate) fn replay_equivalent(
+        &self,
+        golden: &Cache,
+        self_now: u64,
+        golden_now: u64,
+    ) -> Result<(), CacheDiff> {
         if self.occ != golden.occ {
-            return false;
+            return Err(CacheDiff::Tags);
         }
         debug_assert_eq!(self.ways, golden.ways);
+        let rank = |set: &[CacheLine], i: usize| {
+            let key = (set[i].lru, i);
+            set.iter()
+                .enumerate()
+                .filter(|&(j, l)| (l.lru, j) < key)
+                .count()
+        };
         for set_idx in 0..self.occ.len() {
             let occ = self.occ[set_idx] as usize;
             let a = &self.lines[set_idx * self.ways..set_idx * self.ways + occ];
             let b = &golden.lines[set_idx * self.ways..set_idx * self.ways + occ];
-            for (x, y) in a.iter().zip(b) {
-                if x.tag != y.tag || (x.lru == self_now) != (y.lru == golden_now) {
-                    return false;
-                }
-            }
-            for i in 0..occ {
-                let rank = |set: &[CacheLine], i: usize| {
-                    let key = (set[i].lru, i);
-                    set.iter()
-                        .enumerate()
-                        .filter(|&(j, l)| (l.lru, j) < key)
-                        .count()
+            let same = a
+                .iter()
+                .zip(b)
+                .all(|(x, y)| x.tag == y.tag && (x.lru == self_now) == (y.lru == golden_now))
+                && (0..occ).all(|i| rank(a, i) == rank(b, i));
+            if !same {
+                let tags = |set: &[CacheLine]| {
+                    let mut t: Vec<u64> = set.iter().map(|l| l.tag).collect();
+                    t.sort_unstable();
+                    t
                 };
-                if rank(a, i) != rank(b, i) {
-                    return false;
-                }
+                return Err(if tags(a) == tags(b) {
+                    CacheDiff::Rank
+                } else {
+                    CacheDiff::Tags
+                });
             }
         }
-        true
+        Ok(())
     }
+}
+
+/// Why [`Cache::replay_equivalent`] refused a set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CacheDiff {
+    /// Occupancy or resident tag set differs.
+    Tags,
+    /// Same resident tags, different slot order or LRU ranks.
+    Rank,
 }
 
 /// Two-level hierarchy returning full access latencies.
@@ -187,15 +214,26 @@ impl Hierarchy {
         (h1, m1, h2, m2)
     }
 
-    /// [`Cache::replay_equivalent`] across both levels.
+    /// [`Cache::replay_equivalent`] across both levels, naming the first
+    /// level (and kind of difference) that refused.
     pub(crate) fn replay_equivalent(
         &self,
         golden: &Hierarchy,
         self_now: u64,
         golden_now: u64,
-    ) -> bool {
-        self.l1.replay_equivalent(&golden.l1, self_now, golden_now)
-            && self.l2.replay_equivalent(&golden.l2, self_now, golden_now)
+    ) -> Result<(), Refusal> {
+        self.l1
+            .replay_equivalent(&golden.l1, self_now, golden_now)
+            .map_err(|d| match d {
+                CacheDiff::Tags => Refusal::L1Tags,
+                CacheDiff::Rank => Refusal::L1Rank,
+            })?;
+        self.l2
+            .replay_equivalent(&golden.l2, self_now, golden_now)
+            .map_err(|d| match d {
+                CacheDiff::Tags => Refusal::L2Tags,
+                CacheDiff::Rank => Refusal::L2Rank,
+            })
     }
 }
 

@@ -37,6 +37,7 @@ use std::sync::Arc;
 use turnpike_isa::{
     MOperand, MachAddr, MachInst, MachProgram, PhysReg, ProtectionMode, RegionId, NUM_PHYS_REGS,
 };
+use turnpike_metrics::Counter;
 
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +75,7 @@ impl std::fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Result of a completed simulation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SimOutcome {
     /// Program return value.
     pub ret: Option<i64>,
@@ -91,45 +92,184 @@ pub struct SimOutcome {
     /// established that the final memories equal the golden run's, so they
     /// are not rematerialized.
     pub replay_saved: Option<u64>,
+    /// How the run's early-exit probes went (all zero for an unguided
+    /// run). Diagnostics about the simulator's shortcut, not about the
+    /// simulated machine: equality of outcomes ignores it.
+    pub replay_census: ReplayCensus,
+}
+
+/// Outcomes are equal when the simulated runs are: the
+/// [`SimOutcome::replay_census`] describes how a guided run was probed, so
+/// a guided run and its unguided twin still compare equal.
+impl PartialEq for SimOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        let SimOutcome {
+            ret,
+            memory,
+            ckpt_memory,
+            stats,
+            replay_saved,
+            replay_census: _,
+        } = self;
+        *ret == other.ret
+            && *memory == other.memory
+            && *ckpt_memory == other.ckpt_memory
+            && *stats == other.stats
+            && *replay_saved == other.replay_saved
+    }
+}
+
+/// Why an early-exit probe that passed the register prefilter was refused:
+/// the first state component of [`Core`]'s deep compare that differed from
+/// the golden snapshot, or the part of the exit synthesis that could not be
+/// proven exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Fetch or register readiness neither shifted nor past on both sides.
+    Readiness,
+    /// Region boundary buffer (instances, sequence offset, timing).
+    Rbb,
+    /// Gated store buffer.
+    Sb,
+    /// Checkpoint coloring maps.
+    Coloring,
+    /// Committed-load queue signature.
+    Clq,
+    /// L1 occupancy or resident tag set.
+    L1Tags,
+    /// L1 slot order or LRU ranks over the same tags.
+    L1Rank,
+    /// L2 occupancy or resident tag set.
+    L2Tags,
+    /// L2 slot order or LRU ranks over the same tags.
+    L2Rank,
+    /// Architectural data memory.
+    Memory,
+    /// Checkpoint storage.
+    CkptMemory,
+    /// A peak statistic (SB or CLQ occupancy) could not be synthesized.
+    Peak,
+    /// A latency histogram could not be synthesized.
+    Histogram,
+    /// The synthesized completion would overrun the run's cycle limit.
+    CycleLimit,
+}
+
+impl Refusal {
+    /// Every reason, in declaration order ([`ReplayCensus::refusals`] is
+    /// indexed by position here).
+    pub const ALL: [Refusal; 14] = [
+        Refusal::Readiness,
+        Refusal::Rbb,
+        Refusal::Sb,
+        Refusal::Coloring,
+        Refusal::Clq,
+        Refusal::L1Tags,
+        Refusal::L1Rank,
+        Refusal::L2Tags,
+        Refusal::L2Rank,
+        Refusal::Memory,
+        Refusal::CkptMemory,
+        Refusal::Peak,
+        Refusal::Histogram,
+        Refusal::CycleLimit,
+    ];
+
+    /// The `campaign.replay_refused.*` counter campaigns total this
+    /// reason under (its name's last segment names the reason).
+    pub fn counter(self) -> Counter {
+        match self {
+            Refusal::Readiness => Counter::CampaignReplayRefusedReadiness,
+            Refusal::Rbb => Counter::CampaignReplayRefusedRbb,
+            Refusal::Sb => Counter::CampaignReplayRefusedSb,
+            Refusal::Coloring => Counter::CampaignReplayRefusedColoring,
+            Refusal::Clq => Counter::CampaignReplayRefusedClq,
+            Refusal::L1Tags => Counter::CampaignReplayRefusedL1Tags,
+            Refusal::L1Rank => Counter::CampaignReplayRefusedL1Rank,
+            Refusal::L2Tags => Counter::CampaignReplayRefusedL2Tags,
+            Refusal::L2Rank => Counter::CampaignReplayRefusedL2Rank,
+            Refusal::Memory => Counter::CampaignReplayRefusedMemory,
+            Refusal::CkptMemory => Counter::CampaignReplayRefusedCkptMemory,
+            Refusal::Peak => Counter::CampaignReplayRefusedPeak,
+            Refusal::Histogram => Counter::CampaignReplayRefusedHistogram,
+            Refusal::CycleLimit => Counter::CampaignReplayRefusedCycleLimit,
+        }
+    }
+}
+
+/// Early-exit probe record of one strike run ([`SimOutcome::replay_census`]).
+/// A probe that misses the register prefilter (another loop iteration, or
+/// a live register still corrupted) is not a refusal and is not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayCensus {
+    /// Refused probes by reason, indexed like [`Refusal::ALL`].
+    pub refusals: [u32; Refusal::ALL.len()],
+    /// The refusals spent the whole probe budget, so the run dropped its
+    /// guide and simulated the rest of its suffix unguided.
+    pub budget_exhausted: bool,
+    /// The run was guided, and no probe ever found its live registers
+    /// equal to a golden snapshot's.
+    pub never_matched: bool,
 }
 
 /// Divergence-bounded early-exit support for fault-campaign strike runs:
 /// everything a run needs to recognize that its state has *reconverged*
 /// with the fault-free golden run and stop simulating. Holds the golden
 /// run's snapshots (the compare targets), its final stats (the synthesis
-/// deltas), and its return value, plus a PC index over the snapshots so
-/// the per-instruction candidate probe is one hash lookup.
+/// deltas), and its return value, plus a dense PC index over the snapshots
+/// (the per-instruction candidate probe is one bounds-checked load) and
+/// the program's live-in register masks (see [`Core::attach_replay`] for
+/// why only live registers are compared).
 ///
 /// Built once per campaign from the golden run's artifacts and shared
-/// read-only across every strike run (it is `Sync`: all fields are
-/// immutable borrows or plain data).
+/// read-only across every strike run (it is `Sync`: the live table is
+/// built once, by whichever run probes first).
 #[derive(Debug)]
 pub struct ReplayGuide<'g> {
     snapshots: &'g [CoreSnapshot],
     golden_stats: &'g SimStats,
     golden_ret: Option<i64>,
-    /// Snapshot indices by capture PC.
-    by_pc: std::collections::HashMap<u64, Vec<u32>>,
+    /// Snapshot indices by capture PC, each list ascending in cycle.
+    by_pc: Vec<Vec<u32>>,
+    /// [`MachProgram::live_in`] of the guided program.
+    live_in: std::sync::OnceLock<Vec<u32>>,
 }
 
 impl<'g> ReplayGuide<'g> {
     /// Index `snapshots` (from the golden
     /// [`Core::run_collecting_snapshots`] run) for early-exit probing.
     /// `golden_stats`/`golden_ret` come from the same run's outcome.
+    /// Snapshots that are not quiet (a pending detection or a corruption
+    /// flag — possible only when the collecting run had strikes) are never
+    /// compare targets.
     pub fn new(
         snapshots: &'g [CoreSnapshot],
         golden_stats: &'g SimStats,
         golden_ret: Option<i64>,
     ) -> Self {
-        let mut by_pc: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
+        const NO_FLAGS: [bool; NUM_PHYS_REGS as usize] = [false; NUM_PHYS_REGS as usize];
+        let len = snapshots
+            .iter()
+            .map(|s| s.pc as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut by_pc = vec![Vec::new(); len];
         for (i, s) in snapshots.iter().enumerate() {
-            by_pc.entry(s.pc).or_default().push(i as u32);
+            debug_assert!(i == 0 || snapshots[i - 1].cycle <= s.cycle, "capture order");
+            let quiet = s.pending_detect.is_empty()
+                && s.pending_datapath.is_none()
+                && s.parity_bad == NO_FLAGS
+                && s.tainted == NO_FLAGS;
+            if quiet {
+                by_pc[s.pc as usize].push(i as u32);
+            }
         }
         ReplayGuide {
             snapshots,
             golden_stats,
             golden_ret,
             by_pc,
+            live_in: std::sync::OnceLock::new(),
         }
     }
 }
@@ -281,6 +421,8 @@ pub struct Core<'a> {
     /// probes happen at the top of the per-instruction loop — the golden
     /// capture point); dropped permanently once the budget runs out.
     replay: Option<(&'a ReplayGuide<'a>, u32)>,
+    /// This run's early-exit probe record, returned in its outcome.
+    census: ReplayCensus,
 }
 
 /// Full microarchitectural state of a [`Core`] at the top of an issue-loop
@@ -437,6 +579,7 @@ impl<'a> Core<'a> {
             snapshots: Vec::new(),
             translation: None,
             replay: None,
+            census: ReplayCensus::default(),
         }
     }
 
@@ -468,8 +611,29 @@ impl<'a> Core<'a> {
     /// snapshots and the run stops at the first provable reconvergence (see
     /// [`SimOutcome::replay_saved`]). When convergence is never established
     /// the outcome is bit-identical to an unguided run.
+    ///
+    /// # Only live registers must match
+    ///
+    /// Recovery reloads a region's live-in registers only, so a strike into
+    /// a register that is dead at the rollback point stays in the register
+    /// file for good. The probe therefore compares register *values* only
+    /// where [`MachProgram::live_in`] sets the bit at the probe PC. This is
+    /// sound: a probe happens only in a quiet state, where no strike,
+    /// detection or recovery can happen again (and the golden run is
+    /// fault-free), so the instructions' [`MachInst::uses`] are the only
+    /// readers of a register from here on. A register that is not live-in
+    /// at the PC is overwritten before any read on every path, so its value
+    /// reaches no computed value, address, branch, store, checkpoint,
+    /// timing decision or return value, and [`SimOutcome`] carries no
+    /// registers. Register *readiness* is still compared for every
+    /// register, as is every other component of the state.
+    ///
+    /// The guide's live table is built from this core's program on first
+    /// use; every core probing one guide must run the program its
+    /// snapshots came from.
     pub fn attach_replay(&mut self, guide: &'a ReplayGuide<'a>) {
         self.replay = Some((guide, REPLAY_BUDGET));
+        self.census.never_matched = true;
     }
 
     /// Forward an event to the attached sink. The untraced path must cost
@@ -686,34 +850,49 @@ impl<'a> Core<'a> {
     /// Probe the replay guide's snapshots at the current PC for a provable
     /// reconvergence with the golden run; on success, return the fully
     /// synthesized outcome. Failed deep compares and synthesis refusals
-    /// burn [`REPLAY_BUDGET`]; exhaustion drops the guide permanently.
+    /// are counted in the census by reason and burn [`REPLAY_BUDGET`];
+    /// exhaustion drops the guide permanently.
     fn try_replay_exit(&mut self) -> Option<SimOutcome> {
         debug_assert!(self.fast_path_quiet());
         let (guide, _) = self.replay?;
-        let cands = guide.by_pc.get(&self.pc)?;
+        let pc = self.pc as usize;
+        let cands = guide.by_pc.get(pc).filter(|c| !c.is_empty())?;
+        let live = guide.live_in.get_or_init(|| self.program.live_in());
+        debug_assert_eq!(
+            live.len(),
+            self.program.insts.len(),
+            "guide/program mismatch"
+        );
+        let live = *live.get(pc)?;
         for &i in cands {
             let snap = &guide.snapshots[i as usize];
+            // Candidates ascend in cycle: the rest lie in this run's future.
             if snap.cycle > self.cycle {
-                continue;
+                break;
             }
             // Cheap prefilter: almost every visit to a snapshotted PC is a
-            // different loop iteration, and the register file says so.
-            if self.regs != snap.regs
-                || self.slots_left != snap.slots_left
-                || self.mem_left != snap.mem_left
-            {
+            // different loop iteration, and the live registers say so.
+            if !self.live_regs_match(&snap.regs, live) {
+                continue;
+            }
+            self.census.never_matched = false;
+            if self.slots_left != snap.slots_left || self.mem_left != snap.mem_left {
                 continue;
             }
             let dc = self.cycle - snap.cycle;
-            if self.replay_converged(snap, dc) {
-                if let Some(out) = self.synthesize_exit(guide, snap, dc) {
-                    return Some(out);
-                }
-            }
+            let refusal = match self.replay_converged(snap, dc) {
+                Ok(()) => match self.synthesize_exit(guide, snap, dc) {
+                    Ok(out) => return Some(out),
+                    Err(r) => r,
+                },
+                Err(r) => r,
+            };
+            self.census.refusals[refusal as usize] += 1;
             if let Some((_, budget)) = &mut self.replay {
                 *budget -= 1;
                 if *budget == 0 {
                     self.replay = None;
+                    self.census.budget_exhausted = true;
                     return None;
                 }
             }
@@ -721,19 +900,35 @@ impl<'a> Core<'a> {
         None
     }
 
+    /// Whether every register whose bit is set in `live` holds the same
+    /// value as in `golden` (the rule is [`Core::attach_replay`]'s).
+    fn live_regs_match(&self, golden: &[i64; NUM_PHYS_REGS as usize], mut live: u32) -> bool {
+        while live != 0 {
+            let r = live.trailing_zeros() as usize;
+            if self.regs[r] != golden[r] {
+                return false;
+            }
+            live &= live - 1;
+        }
+        true
+    }
+
     /// Whether the core's state at the top of the issue loop is *future-
     /// behavior equivalent* to the golden snapshot `snap`, with this run's
     /// clock ahead by `dc` cycles and its region sequence numbers ahead by
     /// some `ds >= 0`: from here on, both runs issue the same instructions
     /// with the same timing (shifted by `dc`), produce the same final
-    /// memories, and accrue the same statistics deltas.
+    /// memories, and accrue the same statistics deltas. The caller has
+    /// matched the PC, the live registers and the issue-slot budgets; the
+    /// error names the first other component that differs.
     ///
-    /// Both sides are quiet (the caller guarantees it for this run and the
-    /// golden run is fault-free), so the comparison is purely structural.
-    /// Timestamps that only matter while they are in the future — register
-    /// and fetch readiness — may instead be stale on both sides (a
-    /// recovery rewound them); everything else must match under the shift.
-    fn replay_converged(&self, snap: &CoreSnapshot, dc: u64) -> bool {
+    /// Both sides are quiet (the caller guarantees it for this run, and
+    /// [`ReplayGuide::new`] indexes quiet snapshots only), so the
+    /// comparison is purely structural. Timestamps that only matter while
+    /// they are in the future — register and fetch readiness — may instead
+    /// be stale on both sides (a recovery rewound them); everything else
+    /// must match under the shift.
+    fn replay_converged(&self, snap: &CoreSnapshot, dc: u64) -> Result<(), Refusal> {
         // The campaign watchdog clamps a strike run's cycle limit below the
         // golden run's; the limit is not core state, and `synthesize_exit`
         // separately refuses any synthesized completion that would overrun
@@ -745,69 +940,65 @@ impl<'a> Core<'a> {
             },
             snap.cfg
         );
-        const NO_FLAGS: [bool; NUM_PHYS_REGS as usize] = [false; NUM_PHYS_REGS as usize];
-        if self.pc != snap.pc
-            || !snap.pending_detect.is_empty()
-            || snap.pending_datapath.is_some()
-            || snap.parity_bad != NO_FLAGS
-            || snap.tainted != NO_FLAGS
-        {
-            return false;
-        }
-        let Some(ds) = self.rbb.current_seq().checked_sub(snap.rbb.current_seq()) else {
-            return false;
-        };
+        debug_assert_eq!(self.pc, snap.pc);
+        let refuse = |ok: bool, why: Refusal| if ok { Ok(()) } else { Err(why) };
         // A readiness time is either exactly shifted or already in the past
         // on both sides — a past time only ever participates in `max` and
         // `wait_until` computations it cannot win.
         let ready_equiv = |a: u64, b: u64| a == b + dc || (a <= self.cycle && b <= snap.cycle);
-        if !ready_equiv(self.fetch_ready, snap.fetch_ready) {
-            return false;
-        }
-        for r in 0..NUM_PHYS_REGS as usize {
-            if !ready_equiv(self.reg_ready[r], snap.reg_ready[r]) {
-                return false;
-            }
-        }
-        if !self.rbb.replay_equivalent(&snap.rbb, dc, ds)
-            || !self
-                .sb
-                .replay_equivalent(&snap.sb, dc, ds, self.cycle, snap.cycle)
-            || !self.coloring.replay_equivalent(&snap.coloring, ds)
-        {
-            return false;
-        }
+        refuse(
+            ready_equiv(self.fetch_ready, snap.fetch_ready)
+                && (0..NUM_PHYS_REGS as usize)
+                    .all(|r| ready_equiv(self.reg_ready[r], snap.reg_ready[r])),
+            Refusal::Readiness,
+        )?;
+        let ds = self
+            .rbb
+            .current_seq()
+            .checked_sub(snap.rbb.current_seq())
+            .ok_or(Refusal::Rbb)?;
+        refuse(self.rbb.replay_equivalent(&snap.rbb, dc, ds), Refusal::Rbb)?;
+        refuse(
+            self.sb
+                .replay_equivalent(&snap.sb, dc, ds, self.cycle, snap.cycle),
+            Refusal::Sb,
+        )?;
+        refuse(
+            self.coloring.replay_equivalent(&snap.coloring, ds),
+            Refusal::Coloring,
+        )?;
         let (mut sig_a, mut sig_b) = (Vec::new(), Vec::new());
         self.clq.replay_signature(ds, &mut sig_a);
         snap.clq.replay_signature(0, &mut sig_b);
-        if sig_a != sig_b {
-            return false;
-        }
+        refuse(sig_a == sig_b, Refusal::Clq)?;
         self.caches
-            .replay_equivalent(&snap.caches, self.cycle, snap.cycle)
-            && self.memory.content_eq(&snap.memory)
-            && self.ckpt_memory.content_eq(&snap.ckpt_memory)
+            .replay_equivalent(&snap.caches, self.cycle, snap.cycle)?;
+        refuse(self.memory.content_eq(&snap.memory), Refusal::Memory)?;
+        refuse(
+            self.ckpt_memory.content_eq(&snap.ckpt_memory),
+            Refusal::CkptMemory,
+        )
     }
 
     /// Build the final outcome for a run that reconverged with the golden
     /// snapshot `snap` while `dc` cycles ahead: every additive counter is
     /// `converged + (golden_final - golden_at_snapshot)`, cycle-valued
     /// results shift by `dc`, and peak/extreme statistics are synthesized
-    /// only when provably exact — `None` refuses the exit (the run simply
+    /// only when provably exact — an error refuses the exit (the run simply
     /// keeps simulating and the refusal counts against the probe budget).
     fn synthesize_exit(
         &mut self,
         guide: &ReplayGuide<'_>,
         snap: &CoreSnapshot,
         dc: u64,
-    ) -> Option<SimOutcome> {
+    ) -> Result<SimOutcome, Refusal> {
         let gf = guide.golden_stats;
         let gs = &snap.stats;
         // The true run's final clock; past the limit the real execution
         // would abort with `CycleLimit`, so let it.
         let cycles = gf.cycles + dc;
         if cycles > self.cfg.cycle_limit {
-            return None;
+            return Err(Refusal::CycleLimit);
         }
         // Peaks: a golden future that sets a new peak transfers exactly
         // (future occupancies are identical on both sides); otherwise the
@@ -822,31 +1013,33 @@ impl<'a> Core<'a> {
                 None
             }
         }
-        let sb_peak = peak(self.sb.peak as u64, snap.sb.peak as u64, gf.sb_peak as u64)?;
+        let sb_peak = peak(self.sb.peak as u64, snap.sb.peak as u64, gf.sb_peak as u64)
+            .ok_or(Refusal::Peak)?;
         let conv_clq = self.clq.stats();
         let snap_clq = snap.clq.stats();
         let clq_peak = peak(
             u64::from(conv_clq.peak_entries),
             u64::from(snap_clq.peak_entries),
             u64::from(gf.clq.peak_entries),
-        )?;
+        )
+        .ok_or(Refusal::Peak)?;
         let hists = match (&self.hists, &snap.hists, &gf.hists) {
-            (Some(conv), Some(at_snap), Some(at_end)) => Some(Box::new(SimHists {
-                sb_residency: conv
-                    .sb_residency
-                    .extend_by_delta(&at_snap.sb_residency, &at_end.sb_residency)?,
-                verify_latency: conv
-                    .verify_latency
-                    .extend_by_delta(&at_snap.verify_latency, &at_end.verify_latency)?,
-                detect_latency: conv
-                    .detect_latency
-                    .extend_by_delta(&at_snap.detect_latency, &at_end.detect_latency)?,
-                recovery_penalty: conv
-                    .recovery_penalty
-                    .extend_by_delta(&at_snap.recovery_penalty, &at_end.recovery_penalty)?,
-            })),
+            (Some(conv), Some(at_snap), Some(at_end)) => {
+                let extend = |h: fn(&SimHists) -> &turnpike_metrics::Histogram| {
+                    h(conv)
+                        .extend_by_delta(h(at_snap), h(at_end))
+                        .ok_or(Refusal::Histogram)
+                };
+                Some(Box::new(SimHists {
+                    sb_residency: extend(|h| &h.sb_residency)?,
+                    verify_latency: extend(|h| &h.verify_latency)?,
+                    detect_latency: extend(|h| &h.detect_latency)?,
+                    recovery_penalty: extend(|h| &h.recovery_penalty)?,
+                }))
+            }
             (None, None, None) => None,
-            _ => return None, // histogram presence must agree (same config)
+            // Histogram presence must agree (same config).
+            _ => return Err(Refusal::Histogram),
         };
         let rbb_insts_sum = self.rbb.insts_sum + (gf.rbb_insts_sum - snap.rbb.insts_sum);
         let rbb_completed = self.rbb.completed + (gf.rbb_completed - snap.rbb.completed);
@@ -905,12 +1098,13 @@ impl<'a> Core<'a> {
             rbb_completed,
             hists,
         };
-        Some(SimOutcome {
+        Ok(SimOutcome {
             ret: guide.golden_ret,
             memory: BTreeMap::new(),
             ckpt_memory: BTreeMap::new(),
             stats,
             replay_saved: Some(cycles - self.cycle),
+            replay_census: self.census,
         })
     }
 
@@ -1277,7 +1471,9 @@ impl<'a> Core<'a> {
         self.coloring.on_squash(target.seq);
         self.clq.on_recovery();
         // Clear corruption flags: restored registers are rewritten; dead
-        // ones are guaranteed to be written before read.
+        // ones are guaranteed to be written before read. A struck dead
+        // register keeps its flipped value, which is why the early-exit
+        // probe compares live registers only (`Core::attach_replay`).
         self.parity_bad = [false; NUM_PHYS_REGS as usize];
         self.tainted = [false; NUM_PHYS_REGS as usize];
         self.pending_datapath = None;
@@ -1838,6 +2034,7 @@ impl<'a> Core<'a> {
             ckpt_memory: self.ckpt_memory.to_btree(),
             stats: std::mem::take(&mut self.stats),
             replay_saved: None,
+            replay_census: self.census,
         })
     }
 }

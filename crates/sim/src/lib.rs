@@ -56,7 +56,7 @@ pub mod translate;
 pub use clq::{CamClq, Clq, ClqStats, CompactClq, IdealClq};
 pub use coloring::Coloring;
 pub use config::{ClqKind, SimConfig};
-pub use core::{Core, CoreSnapshot, ReplayGuide, SimError, SimOutcome};
+pub use core::{Core, CoreSnapshot, Refusal, ReplayCensus, ReplayGuide, SimError, SimOutcome};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use mem::PagedMem;
 pub use rbb::Rbb;
