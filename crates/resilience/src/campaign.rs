@@ -7,9 +7,7 @@
 //! against the fault-free run. For resilient schemes every run must match —
 //! the acoustic-sensor guarantee is *zero* silent data corruption.
 
-use crate::driver::{
-    run_compiled, run_compiled_collecting_snapshots, RunError, RunResult, RunSpec,
-};
+use crate::driver::{RunError, RunResult, RunSpec};
 use crate::par::par_map;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -697,19 +695,23 @@ pub fn fault_campaign_hooked(
         return Err(RunError::Canceled);
     }
     let sc = spec.sim_config();
-    let (golden, snapshots) = match sc.snapshot_interval {
-        Some(interval) => {
-            run_compiled_collecting_snapshots(&compiled, spec, &FaultPlan::none(), interval)?
-        }
-        None => (run_compiled(&compiled, &sc)?, Vec::new()),
-    };
     // Shared accelerations, built once for the whole campaign: the
     // superblock pre-decode of the compiled program (when the scheme's sim
-    // config enables translation) and the early-exit replay guide over the
-    // golden run's snapshots. Neither changes any simulated outcome.
+    // config enables translation), which the golden run and every strike
+    // run dispatch from, and the early-exit replay guide over the golden
+    // run's snapshots. Neither changes any simulated outcome.
     let translation = sc
         .translate
         .then(|| Arc::new(Translation::new(&compiled.program)));
+    let mut core = Core::new(&compiled.program, sc.clone());
+    if let Some(tr) = &translation {
+        core.attach_translation(tr.clone());
+    }
+    let (outcome, snapshots) = match sc.snapshot_interval {
+        Some(interval) => core.run_collecting_snapshots(&FaultPlan::none(), interval)?,
+        None => (core.run(&FaultPlan::none())?, Vec::new()),
+    };
+    let golden = RunResult::assemble(&compiled, outcome);
     let guide = (config.early_exit && !snapshots.is_empty())
         .then(|| ReplayGuide::new(&snapshots, &golden.outcome.stats, golden.outcome.ret));
     let horizon = golden.outcome.stats.cycles.max(2);

@@ -86,11 +86,12 @@ pub struct SimConfig {
     /// Dispatch through pre-decoded superblocks
     /// ([`Translation`](crate::Translation)) whenever the core is in a
     /// quiet state (no pending faults/detections, no trace sink, no
-    /// snapshot capture). Pure execution strategy: results, stats, and
-    /// snapshots are bit-identical with it on or off — `false` forces the
-    /// per-instruction interpreter everywhere (the reference path CI diffs
-    /// against). Defaults to `true`; the `TURNPIKE_TRANSLATE=0`
-    /// environment variable flips the preset default off process-wide.
+    /// corruption flag). Pure execution strategy: results, stats,
+    /// snapshots and early-exit probes are bit-identical with it on or
+    /// off — `false` forces the per-instruction interpreter everywhere
+    /// (the reference path CI diffs against). Defaults to `true`; the
+    /// `TURNPIKE_TRANSLATE=0` environment variable flips the preset
+    /// default off process-wide.
     pub translate: bool,
     /// Snapshot cadence (cycles) for fault campaigns: the fault-free golden
     /// run captures a copy-on-write [`CoreSnapshot`](crate::CoreSnapshot)

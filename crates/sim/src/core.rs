@@ -216,10 +216,11 @@ pub struct ReplayCensus {
 /// everything a run needs to recognize that its state has *reconverged*
 /// with the fault-free golden run and stop simulating. Holds the golden
 /// run's snapshots (the compare targets), its final stats (the synthesis
-/// deltas), and its return value, plus a dense PC index over the snapshots
-/// (the per-instruction candidate probe is one bounds-checked load) and
-/// the program's live-in register masks (see [`Core::attach_replay`] for
-/// why only live registers are compared).
+/// deltas), and its return value, plus a dense PC index over the snapshots,
+/// a per-PC "probe here" table (both dispatch loops test it at the top of
+/// every instruction, so a PC with no candidates costs one load), and the
+/// program's live-in register masks (see [`Core::attach_replay`] for why
+/// only live registers are compared).
 ///
 /// Built once per campaign from the golden run's artifacts and shared
 /// read-only across every strike run (it is `Sync`: the live table is
@@ -231,6 +232,8 @@ pub struct ReplayGuide<'g> {
     golden_ret: Option<i64>,
     /// Snapshot indices by capture PC, each list ascending in cycle.
     by_pc: Vec<Vec<u32>>,
+    /// `probe[pc]`: `by_pc[pc]` is non-empty.
+    probe: Vec<bool>,
     /// [`MachProgram::live_in`] of the guided program.
     live_in: std::sync::OnceLock<Vec<u32>>,
 }
@@ -264,20 +267,28 @@ impl<'g> ReplayGuide<'g> {
                 by_pc[s.pc as usize].push(i as u32);
             }
         }
+        let probe = by_pc.iter().map(|c| !c.is_empty()).collect();
         ReplayGuide {
             snapshots,
             golden_stats,
             golden_ret,
             by_pc,
+            probe,
             live_in: std::sync::OnceLock::new(),
         }
+    }
+
+    /// Whether some indexed snapshot was captured at `pc`.
+    #[inline(always)]
+    fn probes_at(&self, pc: u64) -> bool {
+        self.probe.get(pc as usize).copied().unwrap_or(false)
     }
 }
 
 /// Failed deep compares (or synthesis refusals) a run tolerates before
 /// dropping its [`ReplayGuide`] for good. Runs that never reconverge (true
 /// SDCs, divergent control flow) stop paying the compare cost after this
-/// many attempts and fall back to the superblock fast path.
+/// many attempts.
 const REPLAY_BUDGET: u32 = 64;
 
 /// Resolved per-static-region protection switches, precomputed from the
@@ -406,6 +417,8 @@ pub struct Core<'a> {
     settle_due: u64,
     /// Snapshot cadence in cycles; 0 disables capture (every run except
     /// [`Core::run_collecting_snapshots`]). Doubles when thinning kicks in.
+    /// Capture happens at the top of an instruction in either dispatch loop
+    /// ([`Core::prologue`]).
     snap_every: u64,
     /// Next cycle at or after which a snapshot is captured.
     next_snap: u64,
@@ -417,9 +430,9 @@ pub struct Core<'a> {
     /// [`Core::attach_translation`] (fault campaigns translate once).
     translation: Option<Arc<Translation>>,
     /// Early-exit replay guide with its remaining deep-compare budget.
-    /// While present, the superblock fast path is suppressed (convergence
-    /// probes happen at the top of the per-instruction loop — the golden
-    /// capture point); dropped permanently once the budget runs out.
+    /// Convergence probes happen at the top of an instruction — the golden
+    /// capture point — in either dispatch loop ([`Core::prologue`]);
+    /// dropped permanently once the budget runs out.
     replay: Option<(&'a ReplayGuide<'a>, u32)>,
     /// This run's early-exit probe record, returned in its outcome.
     census: ReplayCensus,
@@ -717,37 +730,25 @@ impl<'a> Core<'a> {
             // superblocks until the program returns. The fast path performs
             // the same per-instruction work as the interpreter below minus
             // the parts the quiet guard proves are no-ops, so results are
-            // bit-identical (see `fast_path_quiet`).
-            if self.cfg.translate && self.replay.is_none() && self.fast_path_quiet() {
+            // bit-identical (see `fast_path_quiet`). A core holding a replay
+            // guide or a snapshot schedule takes the hooked instance, which
+            // runs the interpreter's `prologue`; every other core takes the
+            // plain one, whose loop has no hook at all.
+            if self.cfg.translate && self.fast_path_quiet() {
                 let tr = self.ensure_translation();
-                if let Some(ret) = self.run_superblocks(&tr)? {
-                    // Quiet implies no detection can land in the tail
-                    // (`next_detection_bound` is infinite), so completion
-                    // is certifiable immediately.
-                    return self.finish(ret);
+                let done = if self.replay.is_some() || self.snap_every != 0 {
+                    self.run_superblocks::<true>(&tr)?
+                } else {
+                    self.run_superblocks::<false>(&tr)?
+                };
+                if let Some(out) = done {
+                    return Ok(out);
                 }
                 // Fast path bailed (PC out of range, or a state change that
                 // ended quiescence): fall through to the interpreter.
             }
-            // Early-exit replay probe: a quiet state (all strikes fired and
-            // resolved) at a PC the golden run snapshotted may have
-            // reconverged with the golden timeline. Probing happens here —
-            // the top of the loop, before settle — because that is exactly
-            // where the golden run captured its snapshots. While the guide
-            // is held, superblock dispatch stays off (above) so every
-            // golden capture point is actually visited.
-            if self.replay.is_some() && self.fast_path_quiet() {
-                if let Some(out) = self.try_replay_exit() {
-                    return Ok(out);
-                }
-            }
-            // Capture before any of the iteration's work so a resumed core
-            // entering this loop replays the iteration identically.
-            if self.snap_every != 0 && self.cycle >= self.next_snap {
-                self.capture_snapshot();
-            }
-            if self.cycle > self.cfg.cycle_limit {
-                return Err(SimError::CycleLimit(self.cfg.cycle_limit));
+            if let Some(out) = self.prologue::<false>()? {
+                return Ok(out);
             }
             // Settle background machinery up to the current cycle.
             self.settle(self.cycle);
@@ -775,6 +776,40 @@ impl<'a> Core<'a> {
                 return self.finish(ret);
             }
         }
+    }
+
+    /// The work both dispatch loops do at the top of an instruction, in
+    /// this order: the early-exit probe (only at a PC the guide indexes, and
+    /// only while quiet), snapshot capture once `next_snap` is due, and the
+    /// cycle-limit check. Probing here — before settle — is what makes a
+    /// probe compare like with like: the golden run captured its snapshots
+    /// at exactly this point, and capture here keeps a resumed core's first
+    /// iteration identical to the collecting run's. `QUIET` callers (the
+    /// superblock loop) have already proved the state quiet. `Ok(Some(_))`
+    /// is the outcome of an early exit.
+    #[inline(always)]
+    fn prologue<const QUIET: bool>(&mut self) -> Result<Option<SimOutcome>, SimError> {
+        if let Some((guide, _)) = self.replay {
+            if guide.probes_at(self.pc) && (QUIET || self.fast_path_quiet()) {
+                if let Some(out) = self.try_replay_exit() {
+                    return Ok(Some(out));
+                }
+            }
+        }
+        if self.snap_every != 0 && self.cycle >= self.next_snap {
+            self.capture_snapshot();
+        }
+        self.check_cycle_limit()?;
+        Ok(None)
+    }
+
+    /// Abort once the clock has passed the configured cycle limit.
+    #[inline(always)]
+    fn check_cycle_limit(&self) -> Result<(), SimError> {
+        if self.cycle > self.cfg.cycle_limit {
+            return Err(SimError::CycleLimit(self.cfg.cycle_limit));
+        }
+        Ok(())
     }
 
     /// Record the current state into the snapshot list and schedule the
@@ -818,10 +853,11 @@ impl<'a> Core<'a> {
     }
 
     /// Whether the core is *quiet*: every piece of per-iteration work the
-    /// interpreter loop performs besides issuing the instruction is provably
-    /// a no-op — no snapshot capture is scheduled, no trace sink is
-    /// attached, no strike or detection is pending or future, and no
-    /// corruption flag is set. Quiet states admit the superblock fast path:
+    /// interpreter loop performs besides the [`Core::prologue`] and issuing
+    /// the instruction is provably a no-op — no trace sink is attached, no
+    /// strike or detection is pending or future, and no corruption flag is
+    /// set. Quiet states admit the superblock fast path (the prologue's
+    /// probe and capture are not no-ops, so the hooked loop runs them):
     ///
     /// * `process_faults` can fire nothing, so no recovery, parity trip, or
     ///   datapath corruption can occur mid-block;
@@ -832,8 +868,7 @@ impl<'a> Core<'a> {
     ///   invariant until the run ends.
     fn fast_path_quiet(&self) -> bool {
         const NO_FLAGS: [bool; NUM_PHYS_REGS as usize] = [false; NUM_PHYS_REGS as usize];
-        self.snap_every == 0
-            && self.sink.is_none()
+        self.sink.is_none()
             && self.next_fault >= self.faults.len()
             && self.pending_detect.is_empty()
             && self.pending_datapath.is_none()
@@ -856,7 +891,7 @@ impl<'a> Core<'a> {
         debug_assert!(self.fast_path_quiet());
         let (guide, _) = self.replay?;
         let pc = self.pc as usize;
-        let cands = guide.by_pc.get(pc).filter(|c| !c.is_empty())?;
+        let cands = guide.by_pc.get(pc)?;
         let live = guide.live_in.get_or_init(|| self.program.live_in());
         debug_assert_eq!(
             live.len(),
@@ -1108,17 +1143,23 @@ impl<'a> Core<'a> {
         })
     }
 
-    /// Execute pre-decoded superblocks until the program returns
-    /// (`Ok(Some(ret))`) or the fast path must hand back to the interpreter
-    /// (`Ok(None)`: the PC left the program, or — defensively — an issue
-    /// helper reported a recovery redirect that cannot happen while quiet).
+    /// Execute pre-decoded superblocks until the run ends (`Ok(Some(_))`:
+    /// the program returned, or a `HOOKED` probe proved an early exit) or
+    /// the fast path must hand back to the interpreter (`Ok(None)`: the PC
+    /// left the program, or — defensively — an issue helper reported a
+    /// recovery redirect that cannot happen while quiet).
     ///
     /// Per instruction this performs exactly the interpreter's sequence —
-    /// cycle-limit check, settle, fetch-redirect gate, operand wait, issue
-    /// through the same helpers — with the fault, parity, taint, snapshot,
-    /// and trace work elided per the [`Core::fast_path_quiet`] proof, so
-    /// cycles, stats, and architectural state are bit-identical.
-    fn run_superblocks(&mut self, tr: &Translation) -> Result<Option<Option<i64>>, SimError> {
+    /// prologue, settle, fetch-redirect gate, operand wait, issue through
+    /// the same helpers — with the fault, parity, taint, and trace work
+    /// elided per the [`Core::fast_path_quiet`] proof, so cycles, stats,
+    /// and architectural state are bit-identical. The plain instance
+    /// (`HOOKED = false`, no guide and no snapshot schedule) reduces the
+    /// prologue to its cycle-limit check.
+    fn run_superblocks<const HOOKED: bool>(
+        &mut self,
+        tr: &Translation,
+    ) -> Result<Option<SimOutcome>, SimError> {
         debug_assert!(self.cfg.translate && self.fast_path_quiet());
         'blocks: loop {
             let pc = self.pc as usize;
@@ -1127,8 +1168,12 @@ impl<'a> Core<'a> {
             };
             let n = (run as usize).max(1);
             for dop in &tr.ops[pc..pc + n] {
-                if self.cycle > self.cfg.cycle_limit {
-                    return Err(SimError::CycleLimit(self.cfg.cycle_limit));
+                if HOOKED {
+                    if let Some(out) = self.prologue::<true>()? {
+                        return Ok(Some(out));
+                    }
+                } else {
+                    self.check_cycle_limit()?;
                 }
                 self.settle(self.cycle);
                 // Fetch redirect gate.
@@ -1239,7 +1284,11 @@ impl<'a> Core<'a> {
                     DKind::Ret { value } => {
                         self.take_slot(false);
                         self.count_inst();
-                        return Ok(Some(value.map(|v| self.dread(v))));
+                        // Quiet implies no detection can land in the tail
+                        // (`next_detection_bound` is infinite), so
+                        // completion is certifiable immediately.
+                        let ret = value.map(|v| self.dread(v));
+                        return self.finish(ret).map(Some);
                     }
                     DKind::Nop => {
                         self.take_slot(false);
@@ -2327,6 +2376,51 @@ mod tests {
             .run(&FaultPlan::none())
             .unwrap();
         assert_eq!(resumed, golden);
+    }
+
+    /// The early-exit prefilter compares exactly the registers live-in at
+    /// the probe PC. Resumed from a golden snapshot with one register
+    /// flipped, a run must exit at once when the register is dead there,
+    /// and must never exit when it is live — its outcome then equals the
+    /// unguided run's, which differs from the golden one.
+    #[test]
+    fn replay_prefilter_compares_live_registers_only() {
+        const LIVE: usize = 1; // the loop counter
+        const DEAD: usize = 7; // never touched by the program
+        let p = store_loop(true);
+        let (golden, snaps) = Core::new(&p, SimConfig::turnpike(4, 10))
+            .run_collecting_snapshots(&FaultPlan::none(), 4)
+            .unwrap();
+        let guide = ReplayGuide::new(&snaps, &golden.stats, golden.ret);
+        let live = p.live_in();
+        let snap = snaps
+            .iter()
+            .find(|s| live[s.pc as usize] & (1 << LIVE) != 0)
+            .expect("a capture inside the loop");
+        assert_eq!(live[snap.pc as usize] & (1 << DEAD), 0);
+        let resume = |reg: usize, guided: bool| {
+            let mut core = Core::from_snapshot(&p, snap);
+            core.regs[reg] ^= 1 << 40;
+            if guided {
+                core.attach_replay(&guide);
+            }
+            core.run(&FaultPlan::none()).unwrap()
+        };
+
+        let unguided = resume(LIVE, false);
+        assert_ne!(unguided.ret, golden.ret, "the flip must matter");
+        let guided = resume(LIVE, true);
+        assert_eq!(guided.replay_saved, None, "exited on a live mismatch");
+        assert_eq!(guided, unguided);
+        assert!(guided.replay_census.never_matched);
+
+        let exited = resume(DEAD, true);
+        assert!(
+            exited.replay_saved.is_some(),
+            "a dead register blocked the exit"
+        );
+        assert_eq!(exited.ret, golden.ret);
+        assert_eq!(exited.stats.cycles, golden.stats.cycles);
     }
 
     #[test]

@@ -22,9 +22,14 @@
 //! paths, `settle`) in the same order as the interpreter, so cycles, stats,
 //! and architectural results are bit-identical. The core only enters the
 //! fast path in *quiet* states (no pending faults or detections, no trace
-//! sink, no snapshot capture, no replay compare) where the skipped
-//! per-instruction work — fault processing, parity access checks, snapshot
-//! cadence checks — is provably a no-op.
+//! sink, no corruption flag) where the skipped per-instruction work —
+//! fault processing, parity access checks — is provably a no-op. The
+//! top-of-instruction work that is not a no-op — early-exit replay probes
+//! and snapshot capture — runs in the fast path too: a core holding a
+//! replay guide or a snapshot schedule dispatches through a hooked
+//! instance of the loop that runs the interpreter's prologue before every
+//! instruction, and every other core through the plain instance, which
+//! has no hook.
 
 use turnpike_ir::{BinOp, CmpOp};
 use turnpike_isa::{MOperand, MachAddr, MachInst, MachProgram, RegionId};
