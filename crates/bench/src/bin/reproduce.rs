@@ -1,102 +1,72 @@
-//! `reproduce` — regenerate the paper's tables and figures.
+//! `reproduce` — regenerate the paper's tables and figures, and drive the
+//! serving, distributed and design-space layers from the command line.
 //!
-//! ```text
-//! reproduce <target> [--smoke] [--json] [--threads N] [--no-cache]
-//! reproduce trace <kernel> [--scheme S] [--smoke] [--format chrome|jsonl] [--out FILE]
-//! reproduce serve [--addr A] [--workers N] [--queue N] [--store DIR] [--flight-dir DIR] ...
-//! reproduce submit [--addr A | --direct] [--progress] [--kind K] [job fields] ...
-//! reproduce loadgen [--addr A] [--clients N] [--jobs N] [job fields] ...
-//! reproduce coordinate --workers A,B,... [--shards N] [--progress] [job fields]
-//! reproduce fleet-bench [--runs N] [--shards N] [--jobs N] [--rate R]
-//! reproduce watch [--addr A | --workers A,B,...] [--interval-ms N] [--once]
-//! reproduce telemetry [--smoke] [--runs N] [--seed N] [--stop-ci W]
-//!                     [--records FILE [--max-records N]]
-//! reproduce explore [--smoke|--full] [--threads N] [--workers A,B,...]
-//!                   [--store DIR [--resume]] [--seed N] [--epsilon X] [--out FILE]
-//! reproduce sim-throughput [--smoke] [--reps N]
-//! reproduce --list
+//! [`COMMANDS`] is the one table of subcommands and their flags: argv is
+//! checked against it, and both the usage text and `reproduce --list` are
+//! rendered from it. A usage or flag error names the subcommand and the
+//! flag, prints that subcommand's flags and exits 2; a runtime failure
+//! exits 1; a `submit` the server rejects as overloaded exits 3.
 //!
-//! targets: fig4 fig14 fig15 fig18 fig19 fig20 fig21 fig22 fig23
-//!          fig24 fig25 fig26 table1 ablation clq colors summary
-//!          adaptive all
-//! ```
-//!
-//! `--list` prints every target with the paper figure/table it reproduces.
-//! `--smoke` runs the reduced-size kernels (fast; used by CI); the default
-//! is full evaluation scale. `--json` prints machine-readable output.
-//! `--threads N` caps the evaluation engine's worker threads and must be
-//! at least 1 (default: all hardware threads); stdout is byte-identical at
-//! any thread count. `--no-cache` disables the engine's compile/run
-//! memoization (the seed harness's behavior, kept for perf comparisons).
+//! `reproduce <target>` prints one paper figure or table (`all`: every
+//! target, in registry order). `--smoke` runs the reduced-size kernels
+//! (fast; used by CI); the default is full evaluation scale. Stdout is
+//! byte-identical at any `--threads` count and with `--no-cache`, which
+//! disables the engine's compile/run memoization.
 //!
 //! `serve` runs the batch job server (`turnpike-serve`): line-delimited
-//! JSON over TCP, bounded queue with typed `overloaded` rejections,
-//! worker pool over the shared evaluation engine, optional persistent
-//! artifact store (`--store DIR`, shared with `submit --direct`), graceful
-//! drain on a client `shutdown` request. The bound address is printed to
-//! stdout. `submit` sends one compile/run/campaign/figure job (or
-//! `--stats`/`--shutdown`) and prints the result payload to stdout —
-//! byte-identical whether served or executed locally via `--direct`.
-//! `loadgen` saturates a server with `--clients` concurrent connections,
-//! proves exactly-once delivery by tag accounting, and records
-//! throughput plus p50/p99/p99.9 latency into `BENCH_reproduce.json`.
+//! JSON over TCP, bounded queue with typed `overloaded` rejections, worker
+//! pool over the shared evaluation engine, optional persistent artifact
+//! store (`--store DIR`, shared with `submit --direct`), graceful drain on
+//! a client `shutdown` request. The bound address is its only stdout line.
+//! `submit` sends one compile/run/campaign/figure job (or `--stats` /
+//! `--shutdown`) and prints the result payload — byte-identical whether
+//! served or executed in-process via `--direct`. `submit --progress`
+//! renders a live progress bar for campaign jobs (SDC rate with its Wilson
+//! interval, strikes/s, ETA). `watch` polls a server's `stats` and
+//! `metrics` exposition (or a `--workers` fleet's stats). `serve
+//! --flight-dir DIR` dumps failed, deadline-canceled or quarantine-tripping
+//! jobs' lifecycle rings as `DIR/job-<id>.jsonl`. Served latency under
+//! open-loop load is measured by the repository benchmark's `served_mix`
+//! workload (`perfbench/`).
 //!
-//! `submit --progress` renders a live progress bar for campaign jobs —
-//! run counts, SDC rate with its Wilson interval, windowed strikes/sec,
-//! and an ETA, rewritten in place on a TTY. `watch` polls a running
-//! server's `stats` and `metrics` (Prometheus text exposition) and prints
-//! a queue/outcome/campaign-counter snapshot every `--interval-ms`
-//! (`--once` for a single snapshot). `serve --flight-dir DIR` enables the
-//! per-job flight recorder: failed, deadline-canceled, or
-//! quarantine-tripping jobs dump their lifecycle event ring as
-//! `DIR/job-<id>.jsonl` evidence.
+//! `coordinate` shards one campaign by run-index range across a fleet of
+//! `serve` workers, re-dispatches the shards of a worker that dies, and
+//! prints the merged payload — byte-identical to `submit --direct`.
 //!
-//! `telemetry` measures the telemetry spine itself: every Fig-21 ladder
-//! rung's smoke campaign runs once untelemetered and once with streaming
-//! progress snapshots, asserts the two `CampaignReport`s are bit-identical
-//! (stdout shows only the deterministic reports — diffable across thread
-//! counts), and records the wall-clock overhead as the `telemetry` block
-//! of `BENCH_reproduce.json`. `--stop-ci W` additionally runs a
-//! `StopRule::CiWidth` campaign that stops once the SDC-rate Wilson CI
-//! half-width reaches `W`; `--records FILE` writes the ladder's strike
-//! records as JSONL, reservoir-capped to `--max-records N`.
+//! `telemetry` runs every Fig-21 ladder rung's campaign once without and
+//! once with streaming progress snapshots, fails unless the two reports
+//! are bit-identical, prints the deterministic reports, and records the
+//! wall-clock overhead. `--stop-ci W` adds a campaign that stops once the
+//! SDC-rate Wilson half-width reaches `W`; `--records FILE` writes the
+//! turnpike rung's strike records as JSONL.
 //!
 //! `explore` sweeps the cross-layer design space (scheme x WCDL x SB size
-//! x CLQ x colors x cache geometry, one declarative grid shared with the
-//! paper's sweeps) through the staged explorer: smoke-scale screening of
-//! every canonical point, epsilon-dominance pruning, then full-scale
-//! promotion with CI-width sequential stopping on the fault-campaign
-//! cells. The Pareto frontier over (runtime overhead, hardware cost, SDC
-//! rate) prints as a figure on stdout and lands as a JSON artifact
-//! (`--out`); both are byte-identical at any `--threads` count and
-//! between direct execution and a `--workers` fleet. `--store DIR`
-//! memoizes every job's payload; `--resume` re-runs a sweep against that
-//! store, skipping everything already evaluated. The run records the
-//! `explore` block (grid/pruning/job counts) in `BENCH_reproduce.json`.
+//! x CLQ x colors x cache geometry) through the staged explorer and prints
+//! the Pareto frontier over (runtime overhead, hardware cost, SDC rate);
+//! the frontier artifact (`--out`) and the table are byte-identical at any
+//! `--threads` count and between direct execution and a `--workers` fleet.
+//! `--store DIR` memoizes every job's payload; `--resume` re-runs a sweep
+//! against that store.
 //!
 //! `trace` exports one kernel's resilience-event timeline under a scheme
-//! (default `turnpike`; see `Scheme::cli_name` for the ladder names) as
-//! Chrome trace-event JSON — load it in ui.perfetto.dev — or as raw JSONL.
+//! as Chrome trace-event JSON (load it in ui.perfetto.dev) or raw JSONL.
 //! Resilient schemes get one deterministic datapath strike at 25% of the
-//! fault-free cycle count, so the export always shows a full
+//! fault-free cycle count, so the export shows a full
 //! strike→detection→recovery arc.
 //!
-//! `sim-throughput` measures fault-free simulator speed (wall-clock
+//! `sim-throughput` measures fault-free simulator speed — wall-clock
 //! nanoseconds per retired instruction, interpreter vs. superblock
-//! dispatch) over the whole kernel catalog and records the
-//! `sim_throughput` block.
+//! dispatch — over the whole kernel catalog.
 //!
-//! Every generating invocation also records its perf block — target, scale,
-//! threads, cache flag, total plus per-figure wall-clock milliseconds, and
-//! a histogram summary block (p50/p99/max of SB residency, verification
-//! latency, detection latency, recovery penalty, and compile/sim stage
-//! times) — so harness performance is tracked over time.
-//! `BENCH_reproduce.json` is a single JSON object keyed by block name
-//! (`"all"`, `"fig21"`, `"loadgen"`, `"sim_throughput"`, ...); each writer
-//! merges its block and preserves the others (see `report.rs`). Timing goes
-//! there and to stderr, never to stdout.
+//! Figure targets, `telemetry`, `explore` and `sim-throughput` each record
+//! a perf block in `BENCH_reproduce.json`, a JSON object keyed by block
+//! name that every writer merges into (see `report.rs`). Timing goes there
+//! and to stderr, never to stdout.
 
+use std::fmt::Display;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turnpike_bench::{
@@ -106,12 +76,340 @@ use turnpike_bench::{
 };
 use turnpike_metrics::{Hist, MetricSet};
 use turnpike_resilience::{par_map, RunSpec, Scheme};
-use turnpike_serve::{
-    loadgen, loadgen_fleet, Arrival, Client, FleetLoadgenConfig, JobKind, JobRequest,
-    LoadgenConfig, Outcome, Server, ServerConfig, Store,
-};
+use turnpike_serve::{Client, JobKind, JobRequest, Outcome, Server, ServerConfig, Store};
 use turnpike_sim::{Core, FaultPlan, Refusal, Translation};
 use turnpike_workloads::{all_kernels, Scale, Suite};
+
+/// One command-line flag: its name, the placeholder of its value (`""`
+/// for a switch) and its help text.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
+}
+
+/// Declare each flag once, as a `const` that subcommands list by name:
+/// `IDENT = "--name" "VALUE" "help";` (`""` as the value for a switch).
+macro_rules! flags {
+    ($($id:ident = $name:literal $value:literal $help:literal;)*) => {
+        $(const $id: Flag = Flag { name: $name, value: $value, help: $help };)*
+    };
+}
+
+/// One subcommand: its name (`""` for the figure targets), its operand
+/// placeholder (`""` when it takes none), a one-line summary, its flag
+/// groups and its entry point.
+struct Command {
+    name: &'static str,
+    operand: &'static str,
+    summary: &'static str,
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args) -> Cli,
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.flags.iter().flat_map(|group| group.iter())
+    }
+}
+
+flags! {
+    SMOKE = "--smoke" "" "reduced-size kernels (fast; the CI scale)";
+    FULL = "--full" "" "evaluation-scale kernels (the default)";
+    THREADS = "--threads" "N" "evaluation threads, N >= 1 (default: all hardware threads)";
+    JSON = "--json" "" "print machine-readable tables";
+    NO_CACHE = "--no-cache" "" "disable compile/run memoization";
+    LIST = "--list" "" "name every target and subcommand";
+    FORMAT = "--format" "F" "chrome (ui.perfetto.dev) or jsonl";
+    OUT = "--out" "FILE" "write the trace or frontier artifact to FILE";
+    ADDR = "--addr" "A" "server address (default 127.0.0.1:8642; serve: 127.0.0.1:0, any port)";
+    WORKERS = "--workers" "N|A,B,..." "serve: job-pool size N >= 1; else the fleet's addresses";
+    QUEUE = "--queue" "N" "bounded job-queue capacity, N >= 1";
+    TIMEOUT_SECS = "--timeout-secs" "N" "per-job deadline, N >= 1 seconds";
+    STORE = "--store" "DIR" "persistent artifact store directory";
+    STORE_CAP = "--store-cap" "BYTES" "store byte budget, plain or with a k/m/g suffix";
+    FLIGHT_DIR = "--flight-dir" "DIR" "dump failed/deadlined/quarantined jobs' event rings to DIR";
+    TRACE_OUT = "--trace-out" "FILE" "write served-job spans as a Chrome trace";
+    DIRECT = "--direct" "" "run the job in-process instead of on a server";
+    PROGRESS = "--progress" "" "live progress bar (rate +/- Wilson CI, strikes/s, ETA)";
+    STATS = "--stats" "" "print the server's stats snapshot";
+    SHUTDOWN = "--shutdown" "" "drain the server and shut it down";
+    SHARDS = "--shards" "N" "run-index shards, N >= 1 (default: one per worker)";
+    MAX_RETRIES = "--max-retries" "N" "dispatch retries per shard (default 100)";
+    INTERVAL_MS = "--interval-ms" "N" "poll period, N >= 50 ms (default 1000)";
+    ONCE = "--once" "" "print one snapshot and exit";
+    STOP_CI = "--stop-ci" "W" "add a campaign stopping at SDC-rate half-width W in (0, 0.5)";
+    RECORDS = "--records" "FILE" "write turnpike strike records as JSONL";
+    MAX_RECORDS = "--max-records" "N" "reservoir-cap the records at N >= 1";
+    RESUME = "--resume" "" "serve already-evaluated jobs from --store";
+    EPSILON = "--epsilon" "X" "epsilon-dominance tolerance, X > 0";
+    REPS = "--reps" "N" "timed runs per cell, min taken, N >= 1 (default 5)";
+    KIND = "--kind" "K" "compile, run, campaign or figure";
+    KERNEL = "--kernel" "K" "catalog kernel (default bwaves)";
+    SCHEME = "--scheme" "S" "baseline or a ladder rung (default turnpike)";
+    SCALE = "--scale" "S" "smoke or full (default smoke)";
+    SB = "--sb" "N" "store-buffer entries (default 4)";
+    WCDL = "--wcdl" "N" "worst-case detection latency, cycles (default 10)";
+    RUNS = "--runs" "N" "fault-injection runs per campaign";
+    SEED = "--seed" "N" "campaign RNG seed";
+    STRIKES = "--strikes" "N" "strikes per injected run (default 1)";
+    CLQ = "--clq" "C" "CLQ design override, e.g. cam-4";
+    COLORS = "--colors" "N" "color-count override, N <= 255 (0: default)";
+    GEOM = "--geom" "G" "cache-geometry override, e.g. slim";
+    TARGET = "--target" "T" "figure target of a figure job (default summary)";
+    TAG = "--tag" "T" "client tag echoed in the job's events";
+}
+
+/// The job-field flags `submit` and `coordinate` share (see [`job_request`]).
+const JOB: &[Flag] = &[
+    KIND, KERNEL, SCHEME, SCALE, SB, WCDL, RUNS, SEED, STRIKES, CLQ, COLORS, GEOM, TARGET, TAG,
+];
+
+/// Every subcommand, the figure targets first.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "",
+        operand: "<target>",
+        summary: "print one paper figure or table (`all`: every target)",
+        flags: &[&[SMOKE, FULL, JSON, NO_CACHE, THREADS, LIST]],
+        run: figures_main,
+    },
+    Command {
+        name: "trace",
+        operand: "<kernel>",
+        summary: "export one kernel's resilience-event timeline",
+        flags: &[&[SCHEME, SMOKE, FULL, FORMAT, OUT]],
+        run: trace_main,
+    },
+    Command {
+        name: "serve",
+        operand: "",
+        summary: "batch job server; prints its bound address",
+        flags: &[&[
+            ADDR,
+            WORKERS,
+            QUEUE,
+            TIMEOUT_SECS,
+            STORE,
+            STORE_CAP,
+            FLIGHT_DIR,
+            TRACE_OUT,
+            THREADS,
+        ]],
+        run: serve_main,
+    },
+    Command {
+        name: "submit",
+        operand: "",
+        summary: "send one job to a server, or run it in-process with --direct",
+        flags: &[
+            &[ADDR, DIRECT, STORE, THREADS, PROGRESS, STATS, SHUTDOWN],
+            JOB,
+        ],
+        run: submit_main,
+    },
+    Command {
+        name: "coordinate",
+        operand: "",
+        summary: "shard a campaign across a worker fleet; merged payload",
+        flags: &[&[WORKERS, SHARDS, MAX_RETRIES, PROGRESS], JOB],
+        run: coordinate_main,
+    },
+    Command {
+        name: "watch",
+        operand: "",
+        summary: "poll a server's stats + metrics (--workers: fleet view)",
+        flags: &[&[ADDR, WORKERS, INTERVAL_MS, ONCE]],
+        run: watch_main,
+    },
+    Command {
+        name: "telemetry",
+        operand: "",
+        summary: "progress snapshots leave ladder campaigns bit-identical; their overhead",
+        flags: &[&[
+            SMOKE,
+            FULL,
+            KERNEL,
+            RUNS,
+            SEED,
+            THREADS,
+            STOP_CI,
+            RECORDS,
+            MAX_RECORDS,
+        ]],
+        run: telemetry_main,
+    },
+    Command {
+        name: "explore",
+        operand: "",
+        summary: "staged design-space exploration; Pareto frontier artifact",
+        flags: &[&[
+            SMOKE, FULL, THREADS, WORKERS, STORE, RESUME, SEED, EPSILON, OUT,
+        ]],
+        run: explore_main,
+    },
+    Command {
+        name: "sim-throughput",
+        operand: "",
+        summary: "fault-free simulator speed, interpreter vs superblocks",
+        flags: &[&[SMOKE, FULL, REPS]],
+        run: sim_throughput_main,
+    },
+];
+
+/// Why a subcommand stopped: a usage error (exit 2, followed by the
+/// subcommand's flags) or a runtime failure (exit 1).
+enum Stop {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Stop {
+        Stop::Usage(msg)
+    }
+}
+
+fn failed(e: impl Display) -> Stop {
+    Stop::Failed(e.to_string())
+}
+
+type Cli = Result<ExitCode, Stop>;
+
+/// A subcommand's argv checked against its flags: every flag is known and
+/// every value-taking flag has its value. The typed getters validate the
+/// values; an error names the flag.
+struct Args {
+    cmd: &'static Command,
+    operand: Option<String>,
+    /// `(flag, value)` in argv order; switches carry `""`.
+    given: Vec<(&'static str, String)>,
+}
+
+impl Args {
+    fn parse(cmd: &'static Command, argv: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            cmd,
+            operand: None,
+            given: Vec::new(),
+        };
+        let mut rest = argv;
+        while let [arg, tail @ ..] = rest {
+            rest = tail;
+            if let Some(f) = cmd.flags().find(|f| f.name == arg.as_str()) {
+                let mut value = String::new();
+                if !f.value.is_empty() {
+                    match rest {
+                        [v, tail @ ..] if !v.starts_with("--") => {
+                            value = v.clone();
+                            rest = tail;
+                        }
+                        _ => return Err(format!("{} needs a value ({})", f.name, f.value)),
+                    }
+                }
+                args.given.push((f.name, value));
+            } else if arg.starts_with('-') {
+                return Err(format!("unknown flag '{arg}'"));
+            } else if cmd.operand.is_empty() || args.operand.is_some() {
+                return Err(format!("unexpected argument '{arg}'"));
+            } else {
+                args.operand = Some(arg.clone());
+            }
+        }
+        Ok(args)
+    }
+
+    /// The last value given for `name` (`""` for a switch).
+    fn text(&self, name: &str) -> Option<&str> {
+        debug_assert!(
+            self.cmd.flags().any(|f| f.name == name),
+            "{name} is not a flag of `{}`",
+            self.cmd.name
+        );
+        self.given
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// The value of `name` through `parse`, which rejects with `None`.
+    fn get<T>(
+        &self,
+        name: &str,
+        takes: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.text(name)
+            .map(|v| parse(v).ok_or_else(|| format!("{name} takes {takes}, got '{v}'")))
+            .transpose()
+    }
+
+    fn int<T: FromStr + PartialOrd + Display>(
+        &self,
+        name: &str,
+        min: T,
+    ) -> Result<Option<T>, String> {
+        self.get(name, &format!("an integer >= {min}"), |v| {
+            v.parse().ok().filter(|n| *n >= min)
+        })
+    }
+
+    fn threads(&self) -> Result<usize, String> {
+        Ok(self.int("--threads", 1)?.unwrap_or_else(default_threads))
+    }
+
+    /// The last of `--smoke` / `--full`; full scale by default.
+    fn scale(&self) -> Scale {
+        let mut latest_first = self.given.iter().rev().map(|(n, _)| *n);
+        match latest_first.find(|n| *n == "--smoke" || *n == "--full") {
+            Some("--smoke") => Scale::Smoke,
+            _ => Scale::Full,
+        }
+    }
+
+    fn operand(&self) -> Result<&str, String> {
+        self.operand
+            .as_deref()
+            .ok_or_else(|| format!("missing {}", self.cmd.operand))
+    }
+
+    fn requires(&self, name: &str, needs: &str) -> Result<(), String> {
+        if self.on(name) && !self.on(needs) {
+            return Err(format!("{name} needs {needs}"));
+        }
+        Ok(())
+    }
+
+    fn excludes(&self, name: &str, other: &str) -> Result<(), String> {
+        if self.on(name) && self.on(other) {
+            return Err(format!("{name} cannot be combined with {other}"));
+        }
+        Ok(())
+    }
+}
+
+/// Usage text for `cmds`: a synopsis and summary, then one line per flag.
+fn usage(cmds: &[Command]) -> String {
+    let mut out = String::new();
+    for c in cmds {
+        let synopsis = [c.name, c.operand].join(" ");
+        out.push_str(&format!(
+            "usage: reproduce {} [flags]\n  {}\n",
+            synopsis.trim(),
+            c.summary
+        ));
+        for f in c.flags() {
+            let spec = format!("{} {}", f.name, f.value);
+            out.push_str(&format!("    {:20} {}\n", spec.trim_end(), f.help));
+        }
+    }
+    out
+}
 
 /// The target list rendered from the registry, one aligned line per target.
 fn target_listing() -> String {
@@ -132,127 +430,45 @@ fn target_listing() -> String {
     out
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: reproduce <target> [--smoke] [--json] [--threads N] [--no-cache]\n\
-         \x20      reproduce trace <kernel> [--scheme S] [--smoke] [--format chrome|jsonl] [--out FILE]\n\
-         \x20      reproduce serve [--addr A] [--workers N] [--queue N] [--timeout-secs N]\n\
-         \x20                      [--store DIR [--store-cap BYTES]] [--flight-dir DIR]\n\
-         \x20                      [--threads N] [--trace-out FILE]\n\
-         \x20      reproduce submit [--addr A | --direct [--store DIR] [--threads N]] [--progress]\n\
-         \x20                       [--kind K] [--kernel K] [--scheme S] [--scale smoke|full]\n\
-         \x20                       [--sb N] [--wcdl N] [--runs N] [--seed N] [--strikes N]\n\
-         \x20                       [--clq C] [--colors N] [--geom G] [--target T] [--tag T]\n\
-         \x20      reproduce submit [--addr A] --stats|--shutdown\n\
-         \x20      reproduce loadgen [--addr A] [--clients N] [--jobs N] [--max-retries N] [job fields]\n\
-         \x20      reproduce coordinate --workers A,B,... [--shards N] [--max-retries N]\n\
-         \x20                           [--progress] [job fields]\n\
-         \x20      reproduce fleet-bench [--runs N] [--shards N] [--jobs N] [--rate R] [--seed N]\n\
-         \x20      reproduce watch [--addr A | --workers A,B,...] [--interval-ms N] [--once]\n\
-         \x20      reproduce telemetry [--smoke] [--kernel K] [--runs N] [--seed N] [--threads N]\n\
-         \x20                          [--stop-ci W] [--records FILE [--max-records N]]\n\
-         \x20      reproduce explore [--smoke|--full] [--threads N] [--workers A,B,...]\n\
-         \x20                        [--store DIR [--resume]] [--seed N] [--epsilon X] [--out FILE]\n\
-         \x20      reproduce sim-throughput [--smoke] [--reps N]\n\
-         \x20      reproduce --list\n\
-         options:\n\
-         \x20 --threads N      evaluation worker threads, N >= 1 (default: all hardware threads)\n\
-         \x20 --progress       live progress bar (rate +/- Wilson CI, strikes/s, ETA) for campaigns\n\
-         \x20 --flight-dir D   dump failed/deadlined/quarantined jobs' lifecycle rings to D\n\
-         \x20 --max-records N  reservoir-cap strike-record JSONL output (default: unbounded)\n\
-         targets:\n{}",
-        target_listing()
-    );
-    ExitCode::from(2)
-}
-
-/// Parse the value of `--threads`: a positive thread count, with a clear
-/// message on anything else (`0` silently meaning "default" was a trap).
-fn parse_threads(v: Option<&String>) -> Result<usize, ExitCode> {
-    match v.map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Ok(n),
-        _ => {
-            eprintln!(
-                "reproduce: --threads must be an integer >= 1 \
-                 (default: all hardware threads, {} here)",
-                default_threads()
-            );
-            Err(ExitCode::from(2))
-        }
-    }
-}
-
 fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }
 
-/// `reproduce trace <kernel> [--scheme S] [--smoke|--full] [--format F]
-/// [--out FILE]` — export one kernel's resilience-event timeline.
-fn trace_main(args: &[String]) -> ExitCode {
-    let mut kernel: Option<String> = None;
-    let mut scheme = Scheme::Turnpike;
-    let mut scale = Scale::Full;
-    let mut format = TraceFormat::Chrome;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => scale = Scale::Smoke,
-            "--full" => scale = Scale::Full,
-            "--scheme" => {
-                let Some(s) = it.next().and_then(|v| Scheme::parse(v)) else {
-                    eprintln!(
-                        "reproduce trace: --scheme takes one of: {}",
-                        [Scheme::Baseline]
-                            .iter()
-                            .chain(Scheme::LADDER.iter())
-                            .map(|s| s.cli_name())
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    );
-                    return ExitCode::from(2);
-                };
-                scheme = s;
-            }
-            "--format" => {
-                let Some(f) = it.next().and_then(|v| TraceFormat::parse(v)) else {
-                    eprintln!("reproduce trace: --format takes 'chrome' or 'jsonl'");
-                    return ExitCode::from(2);
-                };
-                format = f;
-            }
-            "--out" => {
-                let Some(f) = it.next() else {
-                    return usage();
-                };
-                out = Some(f.clone());
-            }
-            k if kernel.is_none() && !k.starts_with('-') => kernel = Some(k.to_string()),
-            _ => return usage(),
-        }
+/// Merge `record` into `BENCH_reproduce.json` as block `key`; a write
+/// failure only warns.
+fn record_block(key: &str, record: &str) {
+    if let Err(e) = write_block("BENCH_reproduce.json", key, record) {
+        eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
     }
-    let Some(name) = kernel else {
-        return usage();
-    };
-    let Some(k) = find_kernel(&name, scale) else {
-        eprintln!("reproduce trace: unknown kernel '{name}'");
-        return ExitCode::from(2);
-    };
-    let text = match export_trace(&k, &RunSpec::new(scheme), format) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("reproduce trace: {name}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match out {
+}
+
+/// `reproduce trace <kernel>` — export one kernel's resilience-event
+/// timeline.
+fn trace_main(a: &Args) -> Cli {
+    let schemes: Vec<&str> = [Scheme::Baseline]
+        .iter()
+        .chain(Scheme::LADDER.iter())
+        .map(|s| s.cli_name())
+        .collect();
+    let scheme = a
+        .get(
+            "--scheme",
+            &format!("one of: {}", schemes.join(" ")),
+            Scheme::parse,
+        )?
+        .unwrap_or(Scheme::Turnpike);
+    let format = a
+        .get("--format", "chrome or jsonl", TraceFormat::parse)?
+        .unwrap_or(TraceFormat::Chrome);
+    let name = a.operand()?;
+    let k = find_kernel(name, a.scale()).ok_or_else(|| format!("unknown kernel '{name}'"))?;
+    let text = export_trace(&k, &RunSpec::new(scheme), format)
+        .map_err(|e| failed(format!("{name}: {e}")))?;
+    match a.text("--out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!("reproduce trace: write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, &text).map_err(|e| failed(format!("write {path}: {e}")))?;
             eprintln!(
                 "# wrote {path} ({} bytes, {} scheme {}){}",
                 text.len(),
@@ -267,155 +483,100 @@ fn trace_main(args: &[String]) -> ExitCode {
         }
         None => print!("{text}"),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Default server address shared by `submit` and `loadgen` (`serve`
-/// defaults to port 0 — OS-assigned — and prints the bound address).
+/// Default server address of `submit` and `watch` (`serve` defaults to
+/// port 0 — OS-assigned — and prints the bound address).
 const DEFAULT_ADDR: &str = "127.0.0.1:8642";
 
-/// Consume one job-shaped flag into `req`. `Ok(true)` when `flag` was a
-/// job field (its value consumed), `Ok(false)` when it belongs to the
-/// caller, `Err` on a bad value.
-fn job_flag(req: &mut JobRequest, flag: &str, value: Option<&String>) -> Result<bool, String> {
-    let need = |v: Option<&String>| v.cloned().ok_or_else(|| format!("{flag} needs a value"));
-    let need_u64 = |v: Option<&String>| {
-        need(v)?
-            .parse::<u64>()
-            .map_err(|_| format!("{flag} needs a non-negative integer"))
-    };
-    match flag {
-        "--kind" => {
-            let v = need(value)?;
-            req.kind = JobKind::parse(&v)
-                .ok_or_else(|| format!("--kind takes compile|run|campaign|figure, got '{v}'"))?;
-        }
-        "--kernel" => req.kernel = need(value)?,
-        "--scheme" => req.scheme = need(value)?,
-        "--scale" => req.scale = need(value)?,
-        "--sb" => {
-            req.sb =
-                u32::try_from(need_u64(value)?).map_err(|_| "--sb out of range".to_string())?;
-        }
-        "--wcdl" => req.wcdl = need_u64(value)?,
-        "--runs" => req.runs = need_u64(value)?,
-        "--seed" => req.seed = need_u64(value)?,
-        "--strikes" => req.strikes = need_u64(value)?,
-        "--target" => req.target = need(value)?,
-        "--clq" => req.clq = need(value)?,
-        "--colors" => {
-            let v = need_u64(value)?;
-            if v > 255 {
-                return Err("--colors must be <= 255".to_string());
-            }
-            req.colors = v;
-        }
-        "--geom" => req.geom = need(value)?,
-        "--tag" => req.tag = need(value)?,
-        _ => return Ok(false),
+/// The job the shared [`JOB`] flags describe, on top of `kind`'s request
+/// defaults.
+fn job_request(a: &Args, kind: JobKind) -> Result<JobRequest, String> {
+    let mut req = JobRequest::new(kind);
+    if let Some(k) = a.get("--kind", "compile|run|campaign|figure", JobKind::parse)? {
+        req.kind = k;
     }
-    Ok(true)
+    for (name, field) in [
+        ("--kernel", &mut req.kernel),
+        ("--scheme", &mut req.scheme),
+        ("--scale", &mut req.scale),
+        ("--clq", &mut req.clq),
+        ("--geom", &mut req.geom),
+        ("--target", &mut req.target),
+        ("--tag", &mut req.tag),
+    ] {
+        if let Some(v) = a.text(name) {
+            *field = v.to_string();
+        }
+    }
+    for (name, field) in [
+        ("--wcdl", &mut req.wcdl),
+        ("--runs", &mut req.runs),
+        ("--seed", &mut req.seed),
+        ("--strikes", &mut req.strikes),
+    ] {
+        if let Some(v) = a.int(name, 0)? {
+            *field = v;
+        }
+    }
+    req.sb = a.int("--sb", 0)?.unwrap_or(req.sb);
+    req.colors = a
+        .get("--colors", "an integer <= 255", |v| {
+            v.parse().ok().filter(|&c| c <= 255)
+        })?
+        .unwrap_or(req.colors);
+    Ok(req)
 }
 
 /// Parse a byte budget: a plain integer, optionally suffixed `k`/`m`/`g`
-/// (binary multiples, case-insensitive).
+/// (binary multiples, case-insensitive). `None` on overflow.
 fn parse_bytes(v: &str) -> Option<u64> {
     let (digits, unit) = match v.char_indices().last()? {
         (i, c) if c.is_ascii_alphabetic() => (&v[..i], c.to_ascii_lowercase()),
         _ => (v, ' '),
     };
     let n: u64 = digits.parse().ok()?;
-    let shift = match unit {
-        ' ' => 0,
-        'k' => 10,
-        'm' => 20,
-        'g' => 30,
+    let scale = match unit {
+        ' ' => 1,
+        'k' => 1 << 10,
+        'm' => 1 << 20,
+        'g' => 1 << 30,
         _ => return None,
     };
-    n.checked_shl(shift)
+    n.checked_mul(scale)
 }
 
 /// `reproduce serve` — run the job server until a client sends `shutdown`.
-fn serve_main(args: &[String]) -> ExitCode {
+fn serve_main(a: &Args) -> Cli {
+    a.requires("--store-cap", "--store")?;
     let mut config = ServerConfig::default();
-    let mut threads = default_threads();
-    let mut store: Option<String> = None;
-    let mut store_cap: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => config.addr = v.clone(),
-                None => return usage(),
-            },
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.workers = n,
-                _ => {
-                    eprintln!("reproduce serve: --workers must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--queue" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.queue_capacity = n,
-                _ => {
-                    eprintln!("reproduce serve: --queue must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--timeout-secs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.job_timeout = Duration::from_secs(n),
-                _ => {
-                    eprintln!("reproduce serve: --timeout-secs must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--store" => match it.next() {
-                Some(v) => store = Some(v.clone()),
-                None => return usage(),
-            },
-            "--store-cap" => match it.next().and_then(|v| parse_bytes(v)) {
-                Some(n) if n >= 1 => store_cap = Some(n),
-                _ => {
-                    eprintln!(
-                        "reproduce serve: --store-cap takes a byte budget \
-                         (plain bytes or k/m/g suffix), e.g. 256m"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-            "--flight-dir" => match it.next() {
-                Some(v) => config.flight_dir = Some(v.into()),
-                None => return usage(),
-            },
-            "--trace-out" => match it.next() {
-                Some(v) => config.trace_path = Some(v.into()),
-                None => return usage(),
-            },
-            "--threads" => match parse_threads(it.next()) {
-                Ok(n) => threads = n,
-                Err(code) => return code,
-            },
-            _ => return usage(),
-        }
+    if let Some(addr) = a.text("--addr") {
+        config.addr = addr.to_string();
     }
-    if store_cap.is_some() && store.is_none() {
-        eprintln!("reproduce serve: --store-cap requires --store DIR");
-        return ExitCode::from(2);
+    config.workers = a.int("--workers", 1)?.unwrap_or(config.workers);
+    config.queue_capacity = a.int("--queue", 1)?.unwrap_or(config.queue_capacity);
+    if let Some(secs) = a.int("--timeout-secs", 1)? {
+        config.job_timeout = Duration::from_secs(secs);
     }
+    config.flight_dir = a.text("--flight-dir").map(Into::into);
+    config.trace_path = a.text("--trace-out").map(Into::into);
+    let threads = a.threads()?;
+    let store = a.text("--store");
+    let store_cap = a.get(
+        "--store-cap",
+        "a byte budget (plain bytes or k/m/g suffix), e.g. 256m",
+        |v| parse_bytes(v).filter(|&n| n >= 1),
+    )?;
     let mut executor = EngineExecutor::new(Engine::new(threads));
-    if let Some(dir) = &store {
+    if let Some(dir) = store {
         executor = executor.with_store(Store::open(dir));
     }
     if let Some(cap) = store_cap {
         executor = executor.with_store_cap(cap);
     }
-    let server = match Server::start(config.clone(), std::sync::Arc::new(executor)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("reproduce serve: bind {}: {e}", config.addr);
-            return ExitCode::FAILURE;
-        }
-    };
+    let server = Server::start(config.clone(), Arc::new(executor))
+        .map_err(|e| failed(format!("bind {}: {e}", config.addr)))?;
     // The bound address goes to stdout (and nothing else does) so scripts
     // using --addr 127.0.0.1:0 can discover the OS-assigned port.
     println!("serving {}", server.addr());
@@ -427,9 +588,9 @@ fn serve_main(args: &[String]) -> ExitCode {
         config.queue_capacity,
         config.job_timeout.as_secs(),
         threads,
-        match (&store, store_cap) {
+        match (store, store_cap) {
             (Some(dir), Some(cap)) => format!("{dir} (cap {cap} bytes)"),
-            (Some(dir), None) => dir.clone(),
+            (Some(dir), None) => dir.to_string(),
             (None, _) => "off".to_string(),
         },
         config
@@ -439,112 +600,43 @@ fn serve_main(args: &[String]) -> ExitCode {
     );
     server.join();
     eprintln!("# serve: drained and shut down");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `reproduce submit` — send one job (or `--stats`/`--shutdown`) to a
 /// server, or run it locally with `--direct` through the exact same
 /// executor and artifact store.
-fn submit_main(args: &[String]) -> ExitCode {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut req = JobRequest::new(JobKind::Run);
-    let mut direct = false;
-    let mut store: Option<String> = None;
-    let mut threads = default_threads();
-    let mut stats = false;
-    let mut shutdown = false;
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let flag = a.as_str();
-        match flag {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => return usage(),
-            },
-            "--direct" => direct = true,
-            "--progress" => progress = true,
-            "--store" => match it.next() {
-                Some(v) => store = Some(v.clone()),
-                None => return usage(),
-            },
-            "--threads" => match parse_threads(it.next()) {
-                Ok(n) => threads = n,
-                Err(code) => return code,
-            },
-            "--stats" => stats = true,
-            "--shutdown" => shutdown = true,
-            _ => {
-                // Two-phase because job_flag consumes the value.
-                let value = if flag.starts_with("--") {
-                    it.clone().next()
-                } else {
-                    None
-                };
-                match job_flag(&mut req, flag, value) {
-                    Ok(true) => {
-                        it.next();
-                    }
-                    Ok(false) | Err(_) if flag == "--help" => return usage(),
-                    Ok(false) => return usage(),
-                    Err(e) => {
-                        eprintln!("reproduce submit: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-        }
+fn submit_main(a: &Args) -> Cli {
+    a.requires("--store", "--direct")?;
+    a.requires("--threads", "--direct")?;
+    let req = job_request(a, JobKind::Run)?;
+    let threads = a.threads()?;
+    let addr = a.text("--addr").unwrap_or(DEFAULT_ADDR);
+    let connect = || Client::connect(addr).map_err(|e| failed(format!("connect {addr}: {e}")));
+    if a.on("--stats") {
+        println!("{}", connect()?.stats().map_err(failed)?);
+        return Ok(ExitCode::SUCCESS);
     }
-    if stats || shutdown {
-        let mut client = match Client::connect(&addr) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("reproduce submit: connect {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let done = if stats {
-            client.stats().map(|body| println!("{body}"))
-        } else {
-            client
-                .shutdown()
-                .map(|()| eprintln!("# server is shutting down"))
-        };
-        return match done {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("reproduce submit: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if a.on("--shutdown") {
+        connect()?.shutdown().map_err(failed)?;
+        eprintln!("# server is shutting down");
+        return Ok(ExitCode::SUCCESS);
     }
-    if direct {
+    if a.on("--direct") {
         let mut executor = EngineExecutor::new(Engine::new(threads));
-        if let Some(dir) = &store {
+        if let Some(dir) = a.text("--store") {
             executor = executor.with_store(Store::open(dir));
         }
-        return match executor.execute_direct(&req) {
-            Ok(out) => {
-                println!("{}", out.result);
-                eprintln!("# store: {}", out.store.name());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("reproduce submit: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let out = executor.execute_direct(&req).map_err(failed)?;
+        println!("{}", out.result);
+        eprintln!("# store: {}", out.store.name());
+        return Ok(ExitCode::SUCCESS);
     }
-    let mut client = match Client::connect(&addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("reproduce submit: connect {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut client = connect()?;
     // --progress rewrites one live line in place on a TTY (bare per-run
     // ticks included); piped stderr gets only the estimator-bearing
     // snapshots, one line each, so logs stay bounded.
+    let progress = a.on("--progress");
     let tty = std::io::IsTerminal::is_terminal(&std::io::stderr());
     let mut rendered_live = false;
     let on_progress = |done: u64, total: u64, stats: Option<&turnpike_serve::ProgressStats>| {
@@ -564,208 +656,68 @@ fn submit_main(args: &[String]) -> ExitCode {
     if rendered_live {
         eprintln!();
     }
-    match outcome {
-        Ok(Outcome::Done { job, store, result }) => {
+    match outcome.map_err(failed)? {
+        Outcome::Done { job, store, result } => {
             println!("{result}");
             eprintln!("# job {job} done, store: {store}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok(Outcome::Overloaded { retry_after_ms }) => {
+        Outcome::Overloaded { retry_after_ms } => {
             eprintln!("reproduce submit: server overloaded, retry after {retry_after_ms} ms");
-            ExitCode::from(3)
+            Ok(ExitCode::from(3))
         }
-        Ok(Outcome::ShuttingDown) => {
-            eprintln!("reproduce submit: server is shutting down");
-            ExitCode::FAILURE
-        }
-        Ok(Outcome::Error { job, message }) => {
-            eprintln!("reproduce submit: job {job}: {message}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("reproduce submit: {e}");
-            ExitCode::FAILURE
-        }
+        Outcome::ShuttingDown => Err(failed("server is shutting down")),
+        Outcome::Error { job, message } => Err(failed(format!("job {job}: {message}"))),
     }
 }
 
-/// `reproduce loadgen` — N concurrent clients against a server; prints the
-/// report and records throughput/latency percentiles in
-/// `BENCH_reproduce.json`. Fails if any job was lost or duplicated.
-fn loadgen_main(args: &[String]) -> ExitCode {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut cfg = LoadgenConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let flag = a.as_str();
-        match flag {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => return usage(),
-            },
-            "--clients" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.clients = n,
-                _ => {
-                    eprintln!("reproduce loadgen: --clients must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.jobs_per_client = n,
-                _ => {
-                    eprintln!("reproduce loadgen: --jobs must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--max-retries" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.max_retries = n,
-                None => {
-                    eprintln!("reproduce loadgen: --max-retries must be an integer");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => {
-                let value = if flag.starts_with("--") {
-                    it.clone().next()
-                } else {
-                    None
-                };
-                match job_flag(&mut cfg.request, flag, value) {
-                    Ok(true) => {
-                        it.next();
-                    }
-                    Ok(false) => return usage(),
-                    Err(e) => {
-                        eprintln!("reproduce loadgen: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-        }
-    }
-    let sock_addr = match std::net::ToSocketAddrs::to_socket_addrs(&addr.as_str())
-        .ok()
-        .and_then(|mut a| a.next())
-    {
-        Some(a) => a,
-        None => {
-            eprintln!("reproduce loadgen: bad address '{addr}'");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match loadgen(sock_addr, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("reproduce loadgen: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let json = report.to_json();
-    println!("{json}");
-    eprintln!(
-        "# loadgen: {} clients x {} jobs, {} completed, {} overloaded rejections, \
-         {:.1} jobs/s, p50 {} us, p99 {} us",
-        cfg.clients,
-        cfg.jobs_per_client,
-        report.completed,
-        report.overloaded,
-        report.throughput(),
-        report.latency.quantile(0.50).round() as u64,
-        report.latency.quantile(0.99).round() as u64,
-    );
-    let record = format!(
-        "{{\n  \"target\": \"loadgen\",\n  \"addr\": {},\n  \"clients\": {},\n  \
-         \"jobs_per_client\": {},\n  \"report\": {}\n}}",
-        json_string(&addr),
-        cfg.clients,
-        cfg.jobs_per_client,
-        json
-    );
-    if let Err(e) = write_block("BENCH_reproduce.json", "loadgen", &record) {
-        eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
-    }
-    if report.lost > 0 || report.duplicated > 0 || report.errors > 0 {
-        eprintln!(
-            "reproduce loadgen: delivery violated exactly-once ({} lost, {} duplicated, {} errors)",
-            report.lost, report.duplicated, report.errors
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `reproduce watch [--addr A] [--interval-ms N] [--once]` — poll a
-/// running server's `stats` snapshot and `metrics` exposition, printing a
-/// compact health summary per tick (see `watch.rs` for the renderer).
-fn watch_main(args: &[String]) -> ExitCode {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut workers: Option<String> = None;
-    let mut interval_ms = 1000u64;
-    let mut once = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => return usage(),
-            },
-            "--workers" => match it.next() {
-                Some(v) => workers = Some(v.clone()),
-                None => return usage(),
-            },
-            "--interval-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 50 => interval_ms = n,
-                _ => {
-                    eprintln!("reproduce watch: --interval-ms must be an integer >= 50");
-                    return ExitCode::from(2);
-                }
-            },
-            "--once" => once = true,
-            _ => return usage(),
-        }
-    }
-    // Fleet mode: one aggregated view over every worker per tick. A dead
-    // worker is rendered as unreachable instead of failing the watch —
-    // seeing the hole in the fleet is exactly what the operator wants.
-    if let Some(list) = &workers {
-        let addrs: Vec<String> = list.split(',').map(str::to_string).collect();
-        loop {
-            let snapshot: Vec<(String, Result<String, String>)> = addrs
-                .iter()
-                .map(|a| {
-                    let stats = Client::connect(a)
-                        .and_then(|mut c| c.stats())
-                        .map_err(|e| e.to_string());
-                    (a.clone(), stats)
-                })
-                .collect();
-            print!("{}", turnpike_bench::render_fleet_watch(&snapshot));
-            if once {
-                return ExitCode::SUCCESS;
-            }
-            println!("---");
-            std::thread::sleep(Duration::from_millis(interval_ms));
-        }
-    }
+/// `reproduce watch` — poll a running server's `stats` snapshot and
+/// `metrics` exposition (or every `--workers` address's stats), printing
+/// a compact health summary per tick (see `watch.rs` for the renderers).
+fn watch_main(a: &Args) -> Cli {
+    let addr = a.text("--addr").unwrap_or(DEFAULT_ADDR);
+    let interval = Duration::from_millis(a.int("--interval-ms", 50)?.unwrap_or(1000));
     loop {
-        let snapshot = Client::connect(&addr).and_then(|mut c| {
-            let stats = c.stats()?;
-            let metrics = c.metrics()?;
-            Ok(turnpike_bench::render_watch(&stats, &metrics))
-        });
-        match snapshot {
-            Ok(text) => print!("{text}"),
-            Err(e) => {
-                eprintln!("reproduce watch: {addr}: {e}");
-                return ExitCode::FAILURE;
+        match a.text("--workers") {
+            // Fleet mode: one aggregated view over every worker. A dead
+            // worker is rendered as unreachable instead of failing the
+            // watch — seeing the hole in the fleet is the point.
+            Some(list) => {
+                let snapshot: Vec<(String, Result<String, String>)> = list
+                    .split(',')
+                    .map(|w| {
+                        let stats = Client::connect(w)
+                            .and_then(|mut c| c.stats())
+                            .map_err(|e| e.to_string());
+                        (w.to_string(), stats)
+                    })
+                    .collect();
+                print!("{}", turnpike_bench::render_fleet_watch(&snapshot));
+            }
+            None => {
+                let text = Client::connect(addr)
+                    .and_then(|mut c| {
+                        let stats = c.stats()?;
+                        let metrics = c.metrics()?;
+                        Ok(turnpike_bench::render_watch(&stats, &metrics))
+                    })
+                    .map_err(|e| failed(format!("{addr}: {e}")))?;
+                print!("{text}");
             }
         }
-        if once {
-            return ExitCode::SUCCESS;
+        if a.on("--once") {
+            return Ok(ExitCode::SUCCESS);
         }
         println!("---");
-        std::thread::sleep(Duration::from_millis(interval_ms));
+        std::thread::sleep(interval);
     }
+}
+
+/// Resolve `host:port[,host:port...]`; `None` if any address fails.
+fn resolve_all(list: &str) -> Option<Vec<SocketAddr>> {
+    list.split(',')
+        .map(|w| w.to_socket_addrs().ok()?.next())
+        .collect()
 }
 
 /// `reproduce coordinate` — shard one campaign by run-index range across
@@ -774,94 +726,29 @@ fn watch_main(args: &[String]) -> ExitCode {
 /// worker that dies mid-campaign has its shard re-dispatched to the
 /// survivors; only a fleet-wide failure (or a deterministic job error)
 /// fails the coordination.
-fn coordinate_main(args: &[String]) -> ExitCode {
-    let mut workers_arg: Option<String> = None;
+fn coordinate_main(a: &Args) -> Cli {
     let mut cfg = CoordinateConfig::default();
-    let mut progress = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let flag = a.as_str();
-        match flag {
-            "--workers" => match it.next() {
-                Some(v) => workers_arg = Some(v.clone()),
-                None => return usage(),
-            },
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.shards = n,
-                _ => {
-                    eprintln!("reproduce coordinate: --shards must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--max-retries" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.max_retries = n,
-                None => {
-                    eprintln!("reproduce coordinate: --max-retries must be an integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--progress" => progress = true,
-            _ => {
-                let value = if flag.starts_with("--") {
-                    it.clone().next()
-                } else {
-                    None
-                };
-                match job_flag(&mut cfg.request, flag, value) {
-                    Ok(true) => {
-                        it.next();
-                    }
-                    Ok(false) => return usage(),
-                    Err(e) => {
-                        eprintln!("reproduce coordinate: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-        }
-    }
-    let Some(workers_arg) = workers_arg else {
-        eprintln!("reproduce coordinate: --workers host:port[,host:port...] is required");
-        return ExitCode::from(2);
-    };
-    let mut workers = Vec::new();
-    for part in workers_arg.split(',') {
-        match std::net::ToSocketAddrs::to_socket_addrs(&part)
-            .ok()
-            .and_then(|mut a| a.next())
-        {
-            Some(a) => workers.push(a),
-            None => {
-                eprintln!("reproduce coordinate: bad worker address '{part}'");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    cfg.request = job_request(a, cfg.request.kind)?;
+    cfg.shards = a.int("--shards", 1)?.unwrap_or(cfg.shards);
+    cfg.max_retries = a.int("--max-retries", 0)?.unwrap_or(cfg.max_retries);
+    let workers = a
+        .get("--workers", "host:port[,host:port...]", resolve_all)?
+        .ok_or_else(|| "--workers host:port[,host:port...] is required".to_string())?;
     // Live progress only on a TTY: worker threads report concurrently and
     // a log file full of interleaved bar rewrites helps nobody.
-    let tty = std::io::IsTerminal::is_terminal(&std::io::stderr());
-    let on_progress = move |done: u64, total: u64| {
-        if tty {
-            eprint!(
-                "\r\x1b[2K{}",
-                turnpike_bench::progress_line(done, total, None)
-            );
-        }
+    let live = a.on("--progress") && std::io::IsTerminal::is_terminal(&std::io::stderr());
+    let on_progress = |done: u64, total: u64| {
+        eprint!(
+            "\r\x1b[2K{}",
+            turnpike_bench::progress_line(done, total, None)
+        );
     };
-    let hook: Option<&(dyn Fn(u64, u64) + Sync)> = if progress { Some(&on_progress) } else { None };
-    let report = match coordinate(&workers, &cfg, hook) {
-        Ok(r) => r,
-        Err(e) => {
-            if progress && tty {
-                eprintln!();
-            }
-            eprintln!("reproduce coordinate: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if progress && tty {
+    let hook: Option<&(dyn Fn(u64, u64) + Sync)> = if live { Some(&on_progress) } else { None };
+    let report = coordinate(&workers, &cfg, hook);
+    if live {
         eprintln!();
     }
+    let report = report.map_err(failed)?;
     // Stdout carries only the merged payload so scripts can byte-diff it
     // against `submit --direct` output.
     println!("{}", report.payload);
@@ -883,208 +770,7 @@ fn coordinate_main(args: &[String]) -> ExitCode {
             if w.alive { "" } else { " (left the fleet)" }
         );
     }
-    ExitCode::SUCCESS
-}
-
-/// `reproduce fleet-bench` — the distributed-execution benchmark behind
-/// the `distributed` block of `BENCH_reproduce.json`.
-///
-/// Spins up in-process single-threaded workers so the measurement isolates
-/// the *dispatch layer*: the same campaign is coordinated across 1 and
-/// then 2 workers (the three payloads — direct, 1-worker, 2-worker — must
-/// be byte-identical), and the wall-clock ratio is the fleet speedup. Then
-/// an open-loop load generator (Poisson and bursty arrivals, seeded) drives
-/// the 2-worker fleet and reports p50/p99/p99.9 latency measured from each
-/// job's *scheduled* arrival — coordinated omission is counted, not hidden
-/// — plus per-worker busy-time utilization.
-fn fleet_bench_main(args: &[String]) -> ExitCode {
-    let mut runs = 2048u64;
-    let mut shards = 8usize;
-    let mut jobs = 48usize;
-    let mut rate = 60.0f64;
-    let mut seed = 0xF1EE7u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--runs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => runs = n,
-                _ => {
-                    eprintln!("reproduce fleet-bench: --runs must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => shards = n,
-                _ => {
-                    eprintln!("reproduce fleet-bench: --shards must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => {
-                    eprintln!("reproduce fleet-bench: --jobs must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--rate" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r > 0.0 => rate = r,
-                _ => {
-                    eprintln!("reproduce fleet-bench: --rate must be a positive jobs/s");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seed = n,
-                None => {
-                    eprintln!("reproduce fleet-bench: --seed must be an integer");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => return usage(),
-        }
-    }
-
-    // One engine thread per worker: fleet speedup must come from the
-    // dispatch layer spreading shards, not from intra-worker parallelism.
-    let start_worker = || {
-        let config = ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        };
-        Server::start(config, Arc::new(EngineExecutor::new(Engine::new(1))))
-    };
-    let stop_worker = |server: Server| {
-        if let Ok(mut c) = Client::connect(server.addr()) {
-            let _ = c.shutdown();
-        }
-        server.join();
-    };
-
-    let mut campaign = JobRequest::new(JobKind::Campaign);
-    campaign.runs = runs;
-    let direct = match EngineExecutor::new(Engine::new(1)).execute_direct(&campaign) {
-        Ok(out) => out.result,
-        Err(e) => {
-            eprintln!("reproduce fleet-bench: direct campaign failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // The same sharded campaign against fleets of 1 and 2 workers.
-    let mut walls = Vec::new();
-    let mut payloads = Vec::new();
-    for fleet_size in [1usize, 2] {
-        let servers: Vec<Server> = match (0..fleet_size).map(|_| start_worker()).collect() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("reproduce fleet-bench: worker start failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let addrs: Vec<std::net::SocketAddr> = servers.iter().map(Server::addr).collect();
-        let cfg = CoordinateConfig {
-            request: campaign.clone(),
-            shards,
-            ..CoordinateConfig::default()
-        };
-        let report = match coordinate(&addrs, &cfg, None) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("reproduce fleet-bench: coordinate ({fleet_size}w) failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        eprintln!(
-            "# fleet-bench: campaign {runs} runs x {shards} shards on {fleet_size} worker(s): {} ms",
-            report.wall_us / 1000
-        );
-        walls.push(report.wall_us);
-        payloads.push(report.payload);
-        for s in servers {
-            stop_worker(s);
-        }
-    }
-    let identical = payloads.iter().all(|p| *p == direct);
-    if !identical {
-        eprintln!("reproduce fleet-bench: distributed payloads diverged from the direct run");
-        return ExitCode::FAILURE;
-    }
-    let speedup = walls[0] as f64 / walls[1].max(1) as f64;
-    // The speedup is only meaningful with a core per worker: the block
-    // records the host's parallelism so a 1-CPU CI container's ~1.0x is
-    // read as a machine limit, not a dispatch-layer regression.
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    eprintln!(
-        "# fleet-bench: payloads byte-identical, 2-worker speedup {speedup:.2}x ({cpus} cpus)"
-    );
-    if cpus < 2 {
-        eprintln!("# fleet-bench: single-CPU host; a 2-worker fleet cannot beat one worker here");
-    }
-
-    // Open-loop load across a 2-worker fleet, Poisson then bursty.
-    let servers: Vec<Server> = match (0..2).map(|_| start_worker()).collect() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("reproduce fleet-bench: worker start failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addrs: Vec<std::net::SocketAddr> = servers.iter().map(Server::addr).collect();
-    let mut fleet_reports = Vec::new();
-    for arrival in [
-        Arrival::Poisson { rate_per_s: rate },
-        Arrival::Bursty {
-            burst: 8,
-            idle_ms: 100,
-        },
-    ] {
-        let cfg = FleetLoadgenConfig {
-            jobs,
-            arrival,
-            seed,
-            request: JobRequest::new(JobKind::Run),
-            max_retries: 1000,
-        };
-        match loadgen_fleet(&addrs, &cfg) {
-            Ok(r) => {
-                eprintln!(
-                    "# fleet-bench: {} arrivals: {} jobs, {:.1} jobs/s, p99.9 {} us",
-                    cfg.arrival.name(),
-                    r.completed,
-                    r.throughput(),
-                    r.latency.quantile(0.999).round() as u64,
-                );
-                fleet_reports.push((cfg.arrival.name().to_string(), r.to_json()));
-            }
-            Err(e) => {
-                eprintln!(
-                    "reproduce fleet-bench: loadgen ({}) failed: {}",
-                    cfg.arrival.name(),
-                    e
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    for s in servers {
-        stop_worker(s);
-    }
-
-    let mut record = format!(
-        "{{\n  \"target\": \"fleet-bench\",\n  \"cpus\": {cpus},\n  \"campaign\": \
-         {{\"runs\": {runs}, \"shards\": {shards}, \"wall_us_1w\": {}, \"wall_us_2w\": {}, \
-         \"speedup_2w\": {speedup:.3}, \"identical\": {identical}}}",
-        walls[0], walls[1]
-    );
-    for (name, json) in &fleet_reports {
-        record.push_str(&format!(",\n  \"{name}\": {json}"));
-    }
-    record.push_str("\n}");
-    if let Err(e) = write_block("BENCH_reproduce.json", "distributed", &record) {
-        eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
-    }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `reproduce telemetry` — measure the telemetry spine itself. Every
@@ -1096,73 +782,25 @@ fn fleet_bench_main(args: &[String]) -> ExitCode {
 /// Stdout carries only the deterministic per-rung reports (plus the
 /// deterministic `--stop-ci` outcome), so CI can byte-diff it across
 /// thread counts; timing goes to stderr and the JSON block.
-fn telemetry_main(args: &[String]) -> ExitCode {
+fn telemetry_main(a: &Args) -> Cli {
     use turnpike_metrics::RateEstimator;
     use turnpike_resilience::{
         fault_campaign_hooked, write_strike_records_to_path, CampaignConfig, CampaignHook,
         CampaignProgress, StopRule,
     };
 
-    let mut scale = Scale::Full;
-    let mut kernel_name = "bwaves".to_string();
-    let mut runs = 48usize;
-    let mut seed = 7u64;
-    let mut threads = default_threads();
-    let mut stop_ci: Option<f64> = None;
-    let mut records_path: Option<String> = None;
-    let mut max_records: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => scale = Scale::Smoke,
-            "--full" => scale = Scale::Full,
-            "--kernel" => match it.next() {
-                Some(v) => kernel_name = v.clone(),
-                None => return usage(),
-            },
-            "--runs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => runs = n,
-                _ => {
-                    eprintln!("reproduce telemetry: --runs must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seed = n,
-                None => {
-                    eprintln!("reproduce telemetry: --seed must be an integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--threads" => match parse_threads(it.next()) {
-                Ok(n) => threads = n,
-                Err(code) => return code,
-            },
-            "--stop-ci" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(w) if w > 0.0 && w < 0.5 => stop_ci = Some(w),
-                _ => {
-                    eprintln!("reproduce telemetry: --stop-ci must be a half-width in (0, 0.5)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--records" => match it.next() {
-                Some(v) => records_path = Some(v.clone()),
-                None => return usage(),
-            },
-            "--max-records" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => max_records = Some(n),
-                _ => {
-                    eprintln!("reproduce telemetry: --max-records must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => return usage(),
-        }
-    }
-    let Some(kernel) = find_kernel(&kernel_name, scale) else {
-        eprintln!("reproduce telemetry: unknown kernel '{kernel_name}'");
-        return ExitCode::from(2);
-    };
+    let scale = a.scale();
+    let kernel_name = a.text("--kernel").unwrap_or("bwaves");
+    let runs = a.int("--runs", 1)?.unwrap_or(48);
+    let seed = a.int("--seed", 0)?.unwrap_or(7);
+    let threads = a.threads()?;
+    let stop_ci = a.get("--stop-ci", "a half-width in (0, 0.5)", |v| {
+        v.parse().ok().filter(|w: &f64| *w > 0.0 && *w < 0.5)
+    })?;
+    let records_path = a.text("--records");
+    let max_records = a.int("--max-records", 1)?;
+    let kernel =
+        find_kernel(kernel_name, scale).ok_or_else(|| format!("unknown kernel '{kernel_name}'"))?;
     let config = CampaignConfig {
         runs,
         seed,
@@ -1204,16 +842,14 @@ fn telemetry_main(args: &[String]) -> ExitCode {
         let ((off_report, off_records, _), (on_report, _, _)) = match (off, on) {
             (Ok(a), Ok(b)) => (a, b),
             (Err(e), _) | (_, Err(e)) => {
-                eprintln!("reproduce telemetry: {}: {e}", scheme.cli_name());
-                return ExitCode::FAILURE;
+                return Err(failed(format!("{}: {e}", scheme.cli_name())));
             }
         };
         if off_report != on_report {
-            eprintln!(
-                "reproduce telemetry: {}: progress snapshots changed the report\n  off: {off_report:?}\n  on:  {on_report:?}",
+            return Err(failed(format!(
+                "{}: progress snapshots changed the report\n  off: {off_report:?}\n  on:  {on_report:?}",
                 scheme.cli_name()
-            );
-            return ExitCode::FAILURE;
+            )));
         }
         wall_off_us += off_us;
         wall_on_us += on_us;
@@ -1265,19 +901,14 @@ fn telemetry_main(args: &[String]) -> ExitCode {
             ..config
         };
         let spec = RunSpec::new(Scheme::Turnpike);
-        let report = match fault_campaign_hooked(
+        let (report, _, _) = fault_campaign_hooked(
             &kernel.program,
             &spec,
             &stop_config,
             threads,
             CampaignHook::default(),
-        ) {
-            Ok((r, _, _)) => r,
-            Err(e) => {
-                eprintln!("reproduce telemetry: stop-ci campaign: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        )
+        .map_err(|e| failed(format!("stop-ci campaign: {e}")))?;
         let est = RateEstimator::from_counts(report.sdc as u64, report.runs as u64);
         println!(
             "stop-ci {half_width}: executed {}/{} runs, sdc-rate half-width {:.4}",
@@ -1293,23 +924,19 @@ fn telemetry_main(args: &[String]) -> ExitCode {
         );
     }
 
-    if let Some(path) = &records_path {
-        match write_strike_records_to_path(&turnpike_records, max_records, seed, path) {
-            Ok(()) => eprintln!(
-                "# wrote {path}: {} strike records{}",
-                turnpike_records
-                    .len()
-                    .min(max_records.unwrap_or(usize::MAX)),
-                match max_records {
-                    Some(cap) => format!(" (reservoir cap {cap} of {})", turnpike_records.len()),
-                    None => String::new(),
-                }
-            ),
-            Err(e) => {
-                eprintln!("reproduce telemetry: write {path}: {e}");
-                return ExitCode::FAILURE;
+    if let Some(path) = records_path {
+        write_strike_records_to_path(&turnpike_records, max_records, seed, path)
+            .map_err(|e| failed(format!("write {path}: {e}")))?;
+        eprintln!(
+            "# wrote {path}: {} strike records{}",
+            turnpike_records
+                .len()
+                .min(max_records.unwrap_or(usize::MAX)),
+            match max_records {
+                Some(cap) => format!(" (reservoir cap {cap} of {})", turnpike_records.len()),
+                None => String::new(),
             }
-        }
+        );
     }
 
     let record = format!(
@@ -1317,24 +944,17 @@ fn telemetry_main(args: &[String]) -> ExitCode {
          \"threads\": {threads},\n  \"wall_off_ms\": {},\n  \"wall_on_ms\": {},\n  \
          \"overhead_pct\": {overhead_pct:.2},\n  \"snapshots_per_pass\": {snapshots}{stop_json},\n  \
          \"rungs\": [\n{rung_rows}\n  ]\n}}",
-        json_string(match scale {
-            Scale::Smoke => "smoke",
-            Scale::Full => "full",
-        }),
-        json_string(&kernel_name),
+        json_string(scale.name()),
+        json_string(kernel_name),
         wall_off_us / 1000,
         wall_on_us / 1000,
     );
-    if let Err(e) = write_block("BENCH_reproduce.json", "telemetry", &record) {
-        eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
-    }
-    ExitCode::SUCCESS
+    record_block("telemetry", &record);
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `reproduce explore [--smoke|--full] [--threads N] [--workers A,B,...]
-/// [--store DIR] [--resume] [--seed N] [--epsilon X] [--out FILE]` — run
-/// the staged cross-layer design-space exploration and emit the Pareto
-/// frontier.
+/// `reproduce explore` — run the staged cross-layer design-space
+/// exploration and emit the Pareto frontier.
 ///
 /// The frontier table goes to stdout (golden-diffable: byte-identical at
 /// any `--threads` count and identical between direct execution and a
@@ -1345,71 +965,35 @@ fn telemetry_main(args: &[String]) -> ExitCode {
 /// `--resume` (requires `--store`) re-runs a sweep against its artifact
 /// store so every already-evaluated job is a store hit instead of a
 /// simulation; the stderr summary reports how many jobs were skipped.
-fn explore_main(args: &[String]) -> ExitCode {
+fn explore_main(a: &Args) -> Cli {
     use turnpike_bench::explore::{
         frontier_json, frontier_table, run_explore, ExploreConfig, JobRunner,
     };
 
-    let mut cfg = ExploreConfig::full();
-    let mut threads = default_threads();
-    let mut workers: Vec<String> = Vec::new();
-    let mut store_dir: Option<String> = None;
-    let mut resume = false;
-    let mut out_path = "explore_frontier.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => cfg = ExploreConfig::smoke(),
-            "--full" => cfg = ExploreConfig::full(),
-            "--threads" => match parse_threads(it.next()) {
-                Ok(n) => threads = n,
-                Err(code) => return code,
-            },
-            "--workers" => match it.next() {
-                Some(v) => workers = v.split(',').map(str::to_string).collect(),
-                None => return usage(),
-            },
-            "--store" => match it.next() {
-                Some(v) => store_dir = Some(v.clone()),
-                None => return usage(),
-            },
-            "--resume" => resume = true,
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seed = n,
-                None => {
-                    eprintln!("reproduce explore: --seed must be an integer");
-                    return ExitCode::from(2);
-                }
-            },
-            "--epsilon" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(e) if e > 0.0 => cfg.epsilon = e,
-                _ => {
-                    eprintln!("reproduce explore: --epsilon must be a float > 0");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match it.next() {
-                Some(v) => out_path = v.clone(),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    if resume && store_dir.is_none() {
-        eprintln!("reproduce explore: --resume needs --store DIR (the store holds the artifacts a resumed sweep skips)");
-        return ExitCode::from(2);
-    }
-    if !workers.is_empty() && store_dir.is_some() {
-        eprintln!("reproduce explore: --store is the direct path's; with --workers, give each worker its own (serve --store)");
-        return ExitCode::from(2);
-    }
+    a.requires("--resume", "--store")?;
+    a.excludes("--workers", "--store")?;
+    let mut cfg = match a.scale() {
+        Scale::Smoke => ExploreConfig::smoke(),
+        Scale::Full => ExploreConfig::full(),
+    };
+    cfg.seed = a.int("--seed", 0)?.unwrap_or(cfg.seed);
+    cfg.epsilon = a
+        .get("--epsilon", "a number > 0", |v| {
+            v.parse().ok().filter(|e: &f64| *e > 0.0)
+        })?
+        .unwrap_or(cfg.epsilon);
+    let threads = a.threads()?;
+    let workers: Vec<String> = a
+        .text("--workers")
+        .map_or_else(Vec::new, |v| v.split(',').map(str::to_string).collect());
+    let out_path = a.text("--out").unwrap_or("explore_frontier.json");
     let runner = if workers.is_empty() {
         // The executor's engine is serial: explore parallelism is
         // batch-level (whole jobs fan out over `--threads`), which keeps
         // every payload — including campaign payloads — independent of
         // the thread count by construction.
         let mut exec = EngineExecutor::new(Engine::serial());
-        if let Some(dir) = &store_dir {
+        if let Some(dir) = a.text("--store") {
             exec = exec.with_store(Store::open(dir));
         }
         JobRunner::Direct { exec, threads }
@@ -1420,7 +1004,7 @@ fn explore_main(args: &[String]) -> ExitCode {
     };
     eprintln!(
         "# explore: {} scale, seed {:#x}, epsilon {}, {}",
-        cfg.scale_label(),
+        cfg.scale.name(),
         cfg.seed,
         cfg.epsilon,
         if workers.is_empty() {
@@ -1430,15 +1014,10 @@ fn explore_main(args: &[String]) -> ExitCode {
         }
     );
     let t0 = Instant::now();
-    let report = match run_explore(&runner, &cfg, &mut |line| eprintln!("# explore: {line}")) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("reproduce explore: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report =
+        run_explore(&runner, &cfg, &mut |line| eprintln!("# explore: {line}")).map_err(failed)?;
     let wall_ms = t0.elapsed().as_millis();
-    if resume {
+    if a.on("--resume") {
         eprintln!(
             "# explore: resume: {} of {} jobs served from the store",
             report.counts.store_hits, report.counts.jobs
@@ -1447,10 +1026,7 @@ fn explore_main(args: &[String]) -> ExitCode {
 
     println!("{}", frontier_table(&report));
     let artifact = frontier_json(&cfg, &report);
-    if let Err(e) = std::fs::write(&out_path, &artifact) {
-        eprintln!("reproduce explore: write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(out_path, &artifact).map_err(|e| failed(format!("write {out_path}: {e}")))?;
     eprintln!(
         "# explore: wrote {out_path} ({} bytes, {} promoted points, {} on the frontier) in {wall_ms} ms",
         artifact.len(),
@@ -1464,7 +1040,7 @@ fn explore_main(args: &[String]) -> ExitCode {
          \"grid_canonical\": {},\n  \"promoted\": {},\n  \"frontier\": {},\n  \"jobs\": {},\n  \
          \"store_hits\": {},\n  \"campaign_runs\": {},\n  \"threads\": {},\n  \"workers\": {},\n  \
          \"wall_ms\": {wall_ms}\n}}",
-        json_string(cfg.scale_label()),
+        json_string(cfg.scale.name()),
         cfg.seed,
         cfg.epsilon,
         c.raw,
@@ -1477,16 +1053,13 @@ fn explore_main(args: &[String]) -> ExitCode {
         threads,
         workers.len(),
     );
-    if let Err(e) = write_block("BENCH_reproduce.json", "explore", &record) {
-        eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
-    }
-    ExitCode::SUCCESS
+    record_block("explore", &record);
+    Ok(ExitCode::SUCCESS)
 }
 
-/// `reproduce sim-throughput [--smoke|--full] [--reps N]` — measure
-/// fault-free ("golden path") simulator throughput over the whole kernel
-/// catalog and record it as the `sim_throughput` block of
-/// `BENCH_reproduce.json`.
+/// `reproduce sim-throughput` — measure fault-free ("golden path")
+/// simulator throughput over the whole kernel catalog and record it as
+/// the `sim_throughput` block of `BENCH_reproduce.json`.
 ///
 /// Each kernel x scheme cell is timed twice — per-instruction interpreter
 /// and superblock-translated dispatch — as wall-clock nanoseconds per
@@ -1494,46 +1067,25 @@ fn explore_main(args: &[String]) -> ExitCode {
 /// statistic for a throughput floor: noise on a quiet machine is strictly
 /// additive). Cells run sequentially on one thread so measurements never
 /// contend with each other.
-fn sim_throughput_main(args: &[String]) -> ExitCode {
-    let mut scale = Scale::Full;
-    let mut reps = 5usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => scale = Scale::Smoke,
-            "--full" => scale = Scale::Full,
-            "--reps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => reps = n,
-                _ => {
-                    eprintln!("reproduce sim-throughput: --reps must be an integer >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            _ => return usage(),
-        }
-    }
-    let scale_name = match scale {
-        Scale::Smoke => "smoke",
-        Scale::Full => "full",
-    };
+fn sim_throughput_main(a: &Args) -> Cli {
+    let scale = a.scale();
+    let reps = a.int("--reps", 1)?.unwrap_or(5);
     let suite_key = |s: Suite| match s {
         Suite::Cpu2006 => "cpu2006",
         Suite::Cpu2017 => "cpu2017",
         Suite::Splash3 => "splash3",
     };
-    eprintln!("# sim-throughput: {scale_name} scale, min of {reps} reps per cell");
+    eprintln!(
+        "# sim-throughput: {} scale, min of {reps} reps per cell",
+        scale.name()
+    );
     let mut rows = String::new();
     let (mut interp_ns, mut translated_ns, mut total_insts) = (0.0f64, 0.0f64, 0u64);
     for k in all_kernels(scale) {
         for scheme in [Scheme::Baseline, Scheme::Turnpike] {
             let spec = RunSpec::new(scheme);
-            let compiled = match turnpike_compiler::compile(&k.program, &spec.compiler_config()) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("reproduce sim-throughput: compile {}: {e}", k.name);
-                    return ExitCode::FAILURE;
-                }
-            };
+            let compiled = turnpike_compiler::compile(&k.program, &spec.compiler_config())
+                .map_err(|e| failed(format!("compile {}: {e}", k.name)))?;
             let translation = Arc::new(Translation::new(&compiled.program));
             // best[0]: interpreter; best[1]: translated.
             let mut best = [f64::MAX; 2];
@@ -1547,13 +1099,9 @@ fn sim_throughput_main(args: &[String]) -> ExitCode {
                         core.attach_translation(translation.clone());
                     }
                     let t0 = Instant::now();
-                    let out = match core.run(&FaultPlan::none()) {
-                        Ok(o) => o,
-                        Err(e) => {
-                            eprintln!("reproduce sim-throughput: run {}: {e}", k.name);
-                            return ExitCode::FAILURE;
-                        }
-                    };
+                    let out = core
+                        .run(&FaultPlan::none())
+                        .map_err(|e| failed(format!("run {}: {e}", k.name)))?;
                     let wall = t0.elapsed().as_nanos() as f64;
                     (insts, cycles) = (out.stats.insts, out.stats.cycles);
                     best[slot] = best[slot].min(wall);
@@ -1599,13 +1147,11 @@ fn sim_throughput_main(args: &[String]) -> ExitCode {
          \"golden_path_ns_per_inst\": {golden:.1},\n  \
          \"interp_ns_per_inst\": {interp:.1},\n  \"speedup\": {:.2},\n  \
          \"kernels\": [\n{rows}\n  ]\n}}",
-        json_string(scale_name),
+        json_string(scale.name()),
         interp / golden,
     );
-    if let Err(e) = write_block("BENCH_reproduce.json", "sim_throughput", &record) {
-        eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
-    }
-    ExitCode::SUCCESS
+    record_block("sim_throughput", &record);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One generated figure: its table, wall-clock, and the run-cache traffic
@@ -1631,21 +1177,19 @@ fn generate_one(t: &Target, scale: Scale, engine: &Engine) -> FigureRun {
     }
 }
 
-/// Generate the requested tables with per-figure wall-clock. For `all`,
-/// figures run concurrently (each with a slice of the thread budget) while
-/// compiles and baseline runs dedup through the shared caches; results are
-/// gathered in [`TARGETS`] order so output is deterministic.
-fn generate(target: &str, scale: Scale, engine: &Engine) -> Option<Vec<FigureRun>> {
-    if target != "all" {
-        let t = target_by_name(target)?;
-        return Some(vec![generate_one(t, scale, engine)]);
+/// Generate one target, or every target for `all`, with per-figure
+/// wall-clock. For `all`, figures run concurrently (each with a slice of
+/// the thread budget) while compiles and baseline runs dedup through the
+/// shared caches; results are gathered in [`TARGETS`] order so output is
+/// deterministic.
+fn generate(target: &str, scale: Scale, engine: &Engine) -> Vec<FigureRun> {
+    if let Some(t) = target_by_name(target) {
+        return vec![generate_one(t, scale, engine)];
     }
     let outer = engine.threads().min(TARGETS.len());
     let inner = (engine.threads() / outer.max(1)).max(1);
     let per_figure = engine.with_threads(inner);
-    Some(par_map(&TARGETS, outer, |_, t| {
-        generate_one(t, scale, &per_figure)
-    }))
+    par_map(&TARGETS, outer, |_, t| generate_one(t, scale, &per_figure))
 }
 
 /// Machine-readable perf record (hand-rolled JSON; see `table.rs`).
@@ -1659,14 +1203,10 @@ fn bench_json(
     registry: &MetricSet,
 ) -> String {
     use turnpike_metrics::Counter;
-    let scale_name = match scale {
-        Scale::Smoke => "smoke",
-        Scale::Full => "full",
-    };
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"target\": {},\n", json_string(target)));
-    out.push_str(&format!("  \"scale\": {},\n", json_string(scale_name)));
+    out.push_str(&format!("  \"scale\": {},\n", json_string(scale.name())));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"cache\": {cache},\n"));
     out.push_str(&format!("  \"wall_ms\": {wall_ms},\n"));
@@ -1729,65 +1269,27 @@ fn bench_json(
     out
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("trace") => return trace_main(&args[1..]),
-        Some("serve") => return serve_main(&args[1..]),
-        Some("submit") => return submit_main(&args[1..]),
-        Some("loadgen") => return loadgen_main(&args[1..]),
-        Some("coordinate") => return coordinate_main(&args[1..]),
-        Some("fleet-bench") => return fleet_bench_main(&args[1..]),
-        Some("watch") => return watch_main(&args[1..]),
-        Some("telemetry") => return telemetry_main(&args[1..]),
-        Some("explore") => return explore_main(&args[1..]),
-        Some("sim-throughput") => return sim_throughput_main(&args[1..]),
-        _ => {}
-    }
-    let mut target: Option<String> = None;
-    let mut scale = Scale::Full;
-    let mut json = false;
-    let mut cache = true;
-    let mut threads = default_threads();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--list" => {
-                print!("{}", target_listing());
-                print!(
-                    "subcommands:\n\
-                     \x20 trace           export one kernel's resilience-event timeline\n\
-                     \x20 serve           batch job server (--flight-dir DIR dumps failed-job evidence)\n\
-                     \x20 submit          send one job (--progress: live rate/CI/ETA bar)\n\
-                     \x20 loadgen         saturate a server; p50/p99/p99.9 client latency\n\
-                     \x20 coordinate      shard a campaign across a worker fleet; merged payload\n\
-                     \x20 fleet-bench     distributed speedup + open-loop fleet latency block\n\
-                     \x20 watch           poll a server's stats + metrics exposition (--workers: fleet view)\n\
-                     \x20 telemetry       measure progress-snapshot overhead (--max-records caps JSONL)\n\
-                     \x20 explore         staged design-space exploration; Pareto frontier artifact\n\
-                     \x20 sim-throughput  fault-free simulator speed\n"
-                );
-                return ExitCode::SUCCESS;
-            }
-            "--smoke" => scale = Scale::Smoke,
-            "--full" => scale = Scale::Full,
-            "--json" => json = true,
-            "--no-cache" => cache = false,
-            "--threads" => match parse_threads(it.next()) {
-                Ok(n) => threads = n,
-                Err(code) => return code,
-            },
-            t if target.is_none() && !t.starts_with('-') => target = Some(t.to_string()),
-            _ => return usage(),
+/// `reproduce <target>` — print one figure or table (`all`: every
+/// target), or with `--list` name every target and subcommand.
+fn figures_main(a: &Args) -> Cli {
+    if a.on("--list") {
+        println!("{}subcommands:", target_listing());
+        for c in COMMANDS.iter().filter(|c| !c.name.is_empty()) {
+            println!("  {:15} {}", c.name, c.summary);
         }
+        return Ok(ExitCode::SUCCESS);
     }
-    let Some(target) = target else {
-        return usage();
-    };
-    if target != "all" && target_by_name(&target).is_none() {
-        eprintln!("reproduce: unknown target '{target}'; known targets:");
-        eprint!("{}", target_listing());
-        return ExitCode::from(2);
+    let scale = a.scale();
+    let json = a.on("--json");
+    let cache = !a.on("--no-cache");
+    let threads = a.threads()?;
+    let target = a.operand()?;
+    if target != "all" && target_by_name(target).is_none() {
+        return Err(format!(
+            "unknown target '{target}'; known targets:\n{}",
+            target_listing()
+        )
+        .into());
     }
     let mut engine = Engine::new(threads);
     if !cache {
@@ -1800,16 +1302,11 @@ fn main() -> ExitCode {
     // the execution schedule itself deterministic.
     eprintln!(
         "# reproduce {target}: {threads} threads, {} scale, cache {}",
-        match scale {
-            Scale::Smoke => "smoke",
-            Scale::Full => "full",
-        },
+        scale.name(),
         if cache { "on" } else { "off" },
     );
     let t0 = Instant::now();
-    let Some(tables) = generate(&target, scale, &engine) else {
-        return usage();
-    };
+    let tables = generate(target, scale, &engine);
     let wall_ms = t0.elapsed().as_millis();
     for f in &tables {
         if json {
@@ -1844,30 +1341,23 @@ fn main() -> ExitCode {
         }
         Err(e) => eprintln!("# warning: fault probe failed: {e}"),
     }
-    let record = bench_json(&target, scale, threads, cache, wall_ms, &tables, &registry);
-    if let Err(e) = write_block("BENCH_reproduce.json", &target, &record) {
-        eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
-    }
+    record_block(
+        target,
+        &bench_json(target, scale, threads, cache, wall_ms, &tables, &registry),
+    );
     // The adaptive rung additionally records its per-kernel comparison
     // against the best uniform scheme (under the "adaptive" key, replacing
     // the generic perf block when the target itself was `adaptive`).
     if let Some(f) = tables.iter().find(|f| f.table.id == "adaptive") {
-        let record = adaptive_block_json(&f.table, scale, f.wall_ms);
-        if let Err(e) = write_block("BENCH_reproduce.json", "adaptive", &record) {
-            eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
-        }
+        record_block("adaptive", &adaptive_block_json(&f.table, scale, f.wall_ms));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `adaptive` block of `BENCH_reproduce.json`: per-kernel normalized
 /// time of the adaptive rung against the best uniform scheme, plus the
 /// figure's wall-clock (columns are pinned by the `adaptive` generator).
 fn adaptive_block_json(table: &Table, scale: Scale, wall_ms: u128) -> String {
-    let scale_name = match scale {
-        Scale::Smoke => "smoke",
-        Scale::Full => "full",
-    };
     let mut rows = String::new();
     for (label, v) in &table.rows {
         if label.starts_with("geomean") {
@@ -1891,8 +1381,86 @@ fn adaptive_block_json(table: &Table, scale: Scale, wall_ms: u128) -> String {
         "{{\n  \"scale\": {},\n  \"wall_ms\": {wall_ms},\n  \
          \"geomean_ratio_vs_best_uniform\": {:.4},\n  \"win_rate\": {:.4},\n  \
          \"kernels\": [\n{rows}\n  ]\n}}",
-        json_string(scale_name),
+        json_string(scale.name()),
         g[2],
         g[3],
     )
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.is_empty() {
+        eprint!("{}targets:\n{}", usage(COMMANDS), target_listing());
+        return ExitCode::from(2);
+    }
+    let (cmd, rest) = match COMMANDS.iter().find(|c| c.name == argv[0]) {
+        Some(c) => (c, &argv[1..]),
+        None => (&COMMANDS[0], &argv[..]),
+    };
+    let stop = match Args::parse(cmd, rest)
+        .map_err(Stop::Usage)
+        .and_then(|args| (cmd.run)(&args))
+    {
+        Ok(code) => return code,
+        Err(stop) => stop,
+    };
+    let who = format!("reproduce {}", cmd.name);
+    match stop {
+        Stop::Usage(msg) => {
+            let usage = usage(std::slice::from_ref(cmd));
+            eprint!("{}: {msg}\n{usage}", who.trim_end());
+            ExitCode::from(2)
+        }
+        Stop::Failed(msg) => {
+            eprintln!("{}: {msg}", who.trim_end());
+            ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn byte_budgets_parse_with_binary_suffixes() {
+        assert_eq!(parse_bytes("4096"), Some(4096));
+        assert_eq!(parse_bytes("3k"), Some(3 << 10));
+        assert_eq!(parse_bytes("256M"), Some(256 << 20));
+        assert_eq!(parse_bytes("2g"), Some(2 << 30));
+        assert_eq!(parse_bytes("5t"), None);
+        assert_eq!(parse_bytes(""), None);
+    }
+
+    #[test]
+    fn byte_budgets_that_overflow_are_rejected() {
+        assert_eq!(parse_bytes("20000000000g"), None);
+        assert_eq!(parse_bytes("17179869184g"), None);
+        assert_eq!(parse_bytes("17179869183g"), Some(17179869183 << 30));
+    }
+
+    #[test]
+    fn each_flag_name_has_one_definition_and_appears_once_per_command() {
+        let mut seen: Vec<&Flag> = Vec::new();
+        for c in COMMANDS {
+            let mut own: Vec<&str> = Vec::new();
+            for f in c.flags() {
+                assert!(
+                    !own.contains(&f.name),
+                    "`{}` lists {} twice",
+                    c.name,
+                    f.name
+                );
+                own.push(f.name);
+                match seen.iter().find(|s| s.name == f.name) {
+                    Some(s) => assert!(
+                        s.value == f.value && s.help == f.help,
+                        "{} has two definitions",
+                        f.name
+                    ),
+                    None => seen.push(f),
+                }
+            }
+        }
+    }
 }

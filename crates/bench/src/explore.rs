@@ -196,11 +196,6 @@ impl ExploreConfig {
         }
     }
 
-    /// The promote-stage scale's CLI name (`"smoke"`/`"full"`).
-    pub fn scale_label(&self) -> &'static str {
-        scale_name(self.scale)
-    }
-
     /// Full-scale exploration: same grid, full-scale promote stage with a
     /// tight CI target.
     pub fn full() -> ExploreConfig {
@@ -272,19 +267,12 @@ pub struct ExploreReport {
     pub counts: ExploreCounts,
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Smoke => "smoke",
-        Scale::Full => "full",
-    }
-}
-
 /// The job evaluating `point` on `kernel` (run or campaign kind).
 fn point_job(kind: JobKind, point: &DesignPoint, kernel: &str, scale: Scale) -> JobRequest {
     let mut req = JobRequest::new(kind);
     req.kernel = kernel.to_string();
     req.scheme = point.scheme.cli_name().to_string();
-    req.scale = scale_name(scale).to_string();
+    req.scale = scale.name().to_string();
     req.sb = point.sb_size;
     req.wcdl = point.wcdl;
     if let Some(clq) = point.clq {
@@ -305,7 +293,7 @@ fn baseline_job(sb: u32, geom: &CacheGeom, kernel: &str, scale: Scale) -> JobReq
     let mut req = JobRequest::new(JobKind::Run);
     req.kernel = kernel.to_string();
     req.scheme = "baseline".to_string();
-    req.scale = scale_name(scale).to_string();
+    req.scale = scale.name().to_string();
     req.sb = sb;
     req.geom = geom.name.to_string();
     req
@@ -449,7 +437,7 @@ pub fn run_explore(
         counts.canonical,
         cfg.epsilon,
         counts.promoted,
-        scale_name(cfg.scale)
+        cfg.scale.name()
     ));
 
     // Promote-stage overhead runs (full kernel list, requested scale).
@@ -574,7 +562,7 @@ pub fn frontier_json(cfg: &ExploreConfig, report: &ExploreReport) -> String {
     out.push_str("  \"schema\": \"turnpike-explore-frontier-v1\",\n");
     out.push_str(&format!(
         "  \"scale\": {},\n",
-        json_string(scale_name(cfg.scale))
+        json_string(cfg.scale.name())
     ));
     out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
     out.push_str(&format!("  \"epsilon\": {},\n", json_number(cfg.epsilon)));

@@ -1,15 +1,14 @@
 //! `BENCH_reproduce.json` as a merged, multi-block perf record.
 //!
-//! Every generating `reproduce` invocation — figure targets, `loadgen`,
-//! `sim-throughput` — records its perf block here. Historically each writer
-//! replaced the whole file, so running `reproduce loadgen` after
-//! `reproduce all` silently discarded the figure timings. The file is now a
-//! single top-level JSON object keyed by block name:
+//! Every generating `reproduce` invocation — figure targets, `telemetry`,
+//! `explore`, `sim-throughput` — records its perf block here, so one
+//! command never discards another's record. The file is a single top-level
+//! JSON object keyed by block name:
 //!
 //! ```json
 //! {
 //!   "all": { "target": "all", "wall_ms": 1234, ... },
-//!   "loadgen": { "target": "loadgen", "report": { ... } },
+//!   "telemetry": { "scale": "smoke", "overhead_pct": 0.8, ... },
 //!   "sim_throughput": { "golden_path_ns_per_inst": 18.4, ... }
 //! }
 //! ```
@@ -19,10 +18,8 @@
 //! hand-rolled (the workspace has no JSON dependency, by design): it splits
 //! the top-level object into raw `(key, value)` slices — values are kept
 //! verbatim, never re-serialized — with string- and nesting-aware scanning.
-//!
-//! A file written by the old single-record format (a top-level object with
-//! a `"target"` string field) is migrated on first merge: the whole object
-//! becomes one block keyed by that target name.
+//! The one-level nesting indent the writer adds is stripped again on load,
+//! so a block that a write does not touch stays byte-identical.
 
 use std::io;
 use std::path::Path;
@@ -128,19 +125,14 @@ fn scan_value(s: &[u8], i: usize) -> Option<usize> {
     }
 }
 
-/// The blocks of an existing record, with legacy migration: a pre-merge
-/// single-record file (top-level `"target"` string field) becomes one block
-/// keyed by that target.
+/// The blocks of an existing record, each value with the nesting indent
+/// of [`indent`] stripped again.
 fn load_blocks(doc: &str) -> Vec<(String, String)> {
-    let Some(pairs) = parse_blocks(doc) else {
-        return Vec::new();
-    };
-    if let Some((_, target)) = pairs.iter().find(|(k, _)| k == "target") {
-        if let Some(name) = target.strip_prefix('"').and_then(|t| t.strip_suffix('"')) {
-            return vec![(name.to_string(), doc.trim().to_string())];
-        }
+    let mut blocks = parse_blocks(doc).unwrap_or_default();
+    for (_, v) in &mut blocks {
+        *v = v.replace("\n  ", "\n");
     }
-    pairs
+    blocks
 }
 
 /// Re-indent a multi-line raw value so it nests one level deep: every line
@@ -191,16 +183,16 @@ mod tests {
 
     #[test]
     fn merge_preserves_other_blocks() {
-        // The regression this module exists for: loadgen after a figure run
-        // must not discard the figure's record (or vice versa).
+        // The regression this module exists for: one command's record
+        // after a figure run must not discard the figure's (or vice versa).
         let doc = upsert_block("", "all", "{\"wall_ms\": 10}");
-        let doc = upsert_block(&doc, "loadgen", "{\"clients\": 4}");
+        let doc = upsert_block(&doc, "telemetry", "{\"runs\": 4}");
         let blocks = load_blocks(&doc);
         assert_eq!(
             blocks,
             vec![
                 ("all".into(), "{\"wall_ms\": 10}".into()),
-                ("loadgen".into(), "{\"clients\": 4}".into()),
+                ("telemetry".into(), "{\"runs\": 4}".into()),
             ]
         );
     }
@@ -217,18 +209,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_record_is_migrated() {
-        // A file written by the pre-merge format: one record, identified by
-        // its top-level "target" field.
-        let legacy = "{\n  \"target\": \"loadgen\",\n  \"clients\": 8,\n  \
-                      \"report\": {\"p99\": [1, 2]}\n}\n";
-        let doc = upsert_block(legacy, "fig4", "{\"wall_ms\": 7}");
-        let blocks = load_blocks(&doc);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].0, "loadgen");
-        assert!(blocks[0].1.contains("\"clients\": 8"));
-        assert!(blocks[0].1.contains("\"p99\": [1, 2]"));
-        assert_eq!(blocks[1], ("fig4".into(), "{\"wall_ms\": 7}".into()));
+    fn untouched_multi_line_block_is_byte_stable_across_rewrites() {
+        let kept = "{\n  \"scale\": \"smoke\",\n  \"rows\": [\n    {\"a\": 1}\n  ]\n}";
+        let doc = upsert_block("", "kept", kept);
+        let doc = upsert_block(&doc, "other", "{\n  \"wall_ms\": 1\n}");
+        let mut text = doc.clone();
+        for wall_ms in 2..5 {
+            text = upsert_block(&text, "other", &format!("{{\n  \"wall_ms\": {wall_ms}\n}}"));
+            let kept_now = &text[..text.find(",\n  \"other\"").unwrap()];
+            let kept_then = &doc[..doc.find(",\n  \"other\"").unwrap()];
+            assert_eq!(
+                kept_now, kept_then,
+                "rewrite {wall_ms} moved the kept block"
+            );
+        }
+        assert_eq!(load_blocks(&text)[0], ("kept".into(), kept.into()));
     }
 
     #[test]
@@ -246,8 +241,7 @@ mod tests {
         let doc = upsert_block(&doc, "h", "true");
         let blocks = load_blocks(&doc);
         assert_eq!(blocks[0].0, "g");
-        // Round-trip: the value comes back verbatim modulo the nesting
-        // indent (no newlines here, so fully verbatim).
+        // Round-trip: the value comes back verbatim.
         assert_eq!(blocks[0].1, gnarly);
         assert_eq!(blocks[1], ("h".into(), "true".into()));
     }

@@ -232,13 +232,6 @@ struct Resolved {
     geom: Option<CacheGeom>,
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Smoke => "smoke",
-        Scale::Full => "full",
-    }
-}
-
 impl EngineExecutor {
     /// An executor without persistence.
     pub fn new(engine: Engine) -> EngineExecutor {
@@ -410,7 +403,7 @@ impl EngineExecutor {
                 json_string(kind),
                 json_string(&req.kernel),
                 json_string(&req.scheme),
-                json_string(scale_name(r.scale)),
+                json_string(r.scale.name()),
                 req.sb,
                 req.wcdl
             )
@@ -485,7 +478,7 @@ impl EngineExecutor {
                 })?;
                 Ok(campaign_payload(
                     req,
-                    scale_name(r.scale),
+                    r.scale.name(),
                     &CampaignTotals::from_report(&report),
                 ))
             }
@@ -495,7 +488,7 @@ impl EngineExecutor {
                 Ok(format!(
                     "{{\"kind\":\"figure\",\"target\":{},\"scale\":{},\"table\":{}}}",
                     json_string(&req.target),
-                    json_string(scale_name(r.scale)),
+                    json_string(r.scale.name()),
                     table.to_compact_json()
                 ))
             }

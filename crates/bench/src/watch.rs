@@ -103,8 +103,7 @@ pub fn render_watch(stats_json: &str, metrics_text: &str) -> String {
 /// error that kept it from answering — a dead worker stays visible in the
 /// view instead of silently shrinking the fleet. The header aggregates
 /// queue depth and job outcomes across reachable workers; each worker line
-/// adds its busy-time utilization (`busy_us / (uptime_us × workers)`,
-/// the same definition the fleet load generator reports).
+/// adds its busy-time utilization, `busy_us / (uptime_us × workers)`.
 pub fn render_fleet_watch(workers: &[(String, Result<String, String>)]) -> String {
     let mut depth = 0u64;
     let mut capacity = 0u64;

@@ -254,7 +254,7 @@ counters! {
     ServeQueuePeak => ("serve.queue_peak", Max),
     /// Microseconds workers spent executing jobs (summed across the
     /// pool): with the server's uptime this yields worker utilization,
-    /// the per-worker load signal the fleet load generator reports.
+    /// the per-worker load signal of the `watch --workers` fleet view.
     ServeBusyMicros => ("serve.busy_us", Sum),
 }
 
@@ -298,7 +298,7 @@ pub enum Hist {
     /// Wall-clock microseconds per simulation in the evaluation harness.
     SimMicros,
     /// Wall-clock microseconds per served job, admission to final event
-    /// (server side) or submit to done (loadgen client side).
+    /// (server side).
     ServeJobMicros,
     /// Microseconds a served job waited in the work queue before a worker
     /// picked it up.

@@ -1,23 +1,14 @@
-//! Client side: a blocking line-protocol client and a load generator.
+//! Client side: a blocking line-protocol client and its retry backoff.
 //!
 //! [`Client::submit`] returns the job's terminal [`Outcome`]. The `done`
 //! payload is extracted from the event line **textually** (not re-rendered
 //! through the JSON codec) so the bytes the caller sees are exactly the
 //! bytes the executor produced — float formatting survives untouched,
 //! which is what the byte-identical served-vs-CLI guarantee rests on.
-//!
-//! [`loadgen`] drives N concurrent clients against one server, retrying
-//! `overloaded` rejections with the server's retry-after hint, recording
-//! client-observed latency into a [`Histogram`], and proving exactly-once
-//! completion by tagging every job and checking each tag terminates
-//! exactly once.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use turnpike_metrics::Histogram;
+use std::time::Duration;
 
 use crate::json::Json;
 use crate::proto::{JobRequest, ProgressStats};
@@ -257,7 +248,7 @@ impl Client {
 ///
 /// Determinism: the jitter stream is seeded SplitMix64, so a given
 /// `(seed, attempt sequence, hints)` always produces the same delays —
-/// which keeps the load generator's schedule reproducible.
+/// which keeps a retrying client's schedule reproducible.
 #[derive(Debug, Clone)]
 pub struct Backoff {
     base_ms: u64,
@@ -310,194 +301,6 @@ impl Backoff {
     pub fn reset(&mut self) {
         self.attempt = 0;
     }
-}
-
-/// Load-generator parameters.
-#[derive(Debug, Clone)]
-pub struct LoadgenConfig {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Jobs submitted per client.
-    pub jobs_per_client: usize,
-    /// Template request; each submission gets a unique `tag`.
-    pub request: JobRequest,
-    /// Give up on a job after this many `overloaded` retries.
-    pub max_retries: usize,
-}
-
-impl Default for LoadgenConfig {
-    fn default() -> LoadgenConfig {
-        LoadgenConfig {
-            clients: 8,
-            jobs_per_client: 4,
-            request: JobRequest::new(crate::proto::JobKind::Run),
-            max_retries: 1000,
-        }
-    }
-}
-
-/// What a [`loadgen`] run observed.
-#[derive(Debug, Clone)]
-pub struct LoadgenReport {
-    /// Jobs attempted (clients × jobs_per_client).
-    pub jobs: usize,
-    /// Jobs that reached `done`.
-    pub completed: usize,
-    /// Jobs that terminated in `error`.
-    pub errors: usize,
-    /// `overloaded` rejections observed (== retries performed).
-    pub overloaded: u64,
-    /// Tags that never reached a terminal event.
-    pub lost: usize,
-    /// Tags that reached `done` more than once.
-    pub duplicated: usize,
-    /// Client-observed submit→done latency, in microseconds (includes
-    /// retry backoff — the client's actual experience under saturation).
-    pub latency: Histogram,
-    /// Wall-clock of the whole run, in microseconds.
-    pub wall_us: u64,
-    /// Server stats snapshot taken after the run.
-    pub server_stats: String,
-}
-
-impl LoadgenReport {
-    /// Completed jobs per wall-clock second.
-    pub fn throughput(&self) -> f64 {
-        if self.wall_us == 0 {
-            return 0.0;
-        }
-        self.completed as f64 * 1.0e6 / self.wall_us as f64
-    }
-
-    /// Single-line JSON rendering with fixed key order.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"jobs\":{},\"completed\":{},\"errors\":{},\"overloaded\":{},\"lost\":{},\
-             \"duplicated\":{},\"wall_us\":{},\"throughput_jobs_per_s\":{:.3},\
-             \"latency_p50_us\":{},\"latency_p90_us\":{},\"latency_p99_us\":{},\
-             \"latency_p999_us\":{},\"latency_max_us\":{},\"server\":{}}}",
-            self.jobs,
-            self.completed,
-            self.errors,
-            self.overloaded,
-            self.lost,
-            self.duplicated,
-            self.wall_us,
-            self.throughput(),
-            self.latency.quantile(0.50).round() as u64,
-            self.latency.quantile(0.90).round() as u64,
-            self.latency.quantile(0.99).round() as u64,
-            self.latency.quantile(0.999).round() as u64,
-            self.latency.max(),
-            self.server_stats,
-        )
-    }
-}
-
-struct LoadgenTally {
-    done_tags: Vec<String>,
-    error_tags: Vec<String>,
-    overloaded: u64,
-    latency: Histogram,
-}
-
-/// Drive `cfg.clients` concurrent connections against `addr`, each
-/// submitting `cfg.jobs_per_client` uniquely-tagged jobs, retrying
-/// rejections. Every tag is accounted for in the report: `lost` and
-/// `duplicated` are both zero iff the server delivered exactly-once.
-///
-/// # Errors
-///
-/// Propagates the first connection failure; per-job errors are tallied,
-/// not raised.
-pub fn loadgen(addr: std::net::SocketAddr, cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
-    let tally = Mutex::new(LoadgenTally {
-        done_tags: Vec::new(),
-        error_tags: Vec::new(),
-        overloaded: 0,
-        latency: Histogram::new(),
-    });
-    let started = Instant::now();
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        let mut handles = Vec::new();
-        for c in 0..cfg.clients {
-            let tally = &tally;
-            handles.push(scope.spawn(move || -> std::io::Result<()> {
-                let mut client = Client::connect(addr)?;
-                // Per-client jitter stream: seeded by index so the whole
-                // run's retry schedule is reproducible yet decorrelated
-                // across clients.
-                let mut backoff = Backoff::new(1, 1_000, c as u64);
-                for j in 0..cfg.jobs_per_client {
-                    let mut req = cfg.request.clone();
-                    req.tag = format!("c{c}-j{j}");
-                    let job_start = Instant::now();
-                    let mut retries = 0usize;
-                    loop {
-                        match client.submit(&req)? {
-                            Outcome::Done { .. } => {
-                                let us = job_start.elapsed().as_micros() as u64;
-                                let mut t = tally.lock().unwrap();
-                                t.done_tags.push(req.tag.clone());
-                                t.latency.record(us);
-                                backoff.reset();
-                                break;
-                            }
-                            Outcome::Overloaded { retry_after_ms } => {
-                                tally.lock().unwrap().overloaded += 1;
-                                retries += 1;
-                                if retries > cfg.max_retries {
-                                    tally.lock().unwrap().error_tags.push(req.tag.clone());
-                                    break;
-                                }
-                                std::thread::sleep(backoff.next_delay(retry_after_ms));
-                            }
-                            Outcome::ShuttingDown | Outcome::Error { .. } => {
-                                tally.lock().unwrap().error_tags.push(req.tag.clone());
-                                break;
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            }));
-        }
-        for h in handles {
-            h.join().expect("loadgen client thread panicked")?;
-        }
-        Ok(())
-    })?;
-    let wall_us = started.elapsed().as_micros() as u64;
-    let server_stats = Client::connect(addr)?.stats()?;
-    let tally = tally.into_inner().unwrap();
-
-    let jobs = cfg.clients * cfg.jobs_per_client;
-    let mut sorted = tally.done_tags.clone();
-    sorted.sort_unstable();
-    let duplicated = sorted.windows(2).filter(|w| w[0] == w[1]).count();
-    let mut terminal = sorted.clone();
-    terminal.extend(tally.error_tags.iter().cloned());
-    terminal.sort_unstable();
-    let mut lost = 0usize;
-    for c in 0..cfg.clients {
-        for j in 0..cfg.jobs_per_client {
-            if terminal.binary_search(&format!("c{c}-j{j}")).is_err() {
-                lost += 1;
-            }
-        }
-    }
-
-    Ok(LoadgenReport {
-        jobs,
-        completed: tally.done_tags.len() - duplicated,
-        errors: tally.error_tags.len(),
-        overloaded: tally.overloaded,
-        lost,
-        duplicated,
-        latency: tally.latency,
-        wall_us,
-        server_stats,
-    })
 }
 
 #[cfg(test)]

@@ -25,8 +25,11 @@
 //! - a **`metrics` admin request** returning Prometheus-style text
 //!   exposition of the live registry with a stable line order;
 //! - **graceful shutdown** that drains queued and in-flight jobs;
-//! - a [`Client`] and [`loadgen`] harness measuring throughput and
-//!   latency percentiles into `turnpike-metrics` histograms.
+//! - a blocking [`Client`] with a jittered retry [`Backoff`] for
+//!   `overloaded` rejections.
+//!
+//! Served latency under open-loop load is measured by the repository
+//! benchmark's `served_mix` workload (`perfbench/`), not by this crate.
 //!
 //! Everything the server observes — queue depth peaks, admission
 //! decisions, job/queue-wait latency, store hit rate — lands in the same
@@ -34,7 +37,6 @@
 //! report into.
 
 pub mod client;
-pub mod fleet;
 pub mod flight;
 pub mod json;
 pub mod poll;
@@ -43,8 +45,7 @@ pub mod queue;
 pub mod server;
 pub mod store;
 
-pub use client::{loadgen, Backoff, Client, LoadgenConfig, LoadgenReport, Outcome};
-pub use fleet::{loadgen_fleet, Arrival, FleetLoadgenConfig, FleetReport, WorkerLoad};
+pub use client::{Backoff, Client, Outcome};
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_CAP};
 pub use json::Json;
 pub use proto::{

@@ -52,8 +52,8 @@ impl JobKind {
 /// `kernel`/`scheme`/`sb`/`wcdl` drive `compile`/`run`/`campaign`;
 /// `runs`/`seed`/`strikes` drive `campaign` only; `target` drives `figure`
 /// only. `scale` and `tag` apply to every kind (`tag` is an opaque client
-/// token echoed in every event for this job — load generators use it to
-/// prove no job is lost or duplicated).
+/// token echoed in every event for this job — concurrent clients use it
+/// to prove no job is lost or duplicated).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JobRequest {
     /// Work kind.

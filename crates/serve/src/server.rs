@@ -21,7 +21,7 @@
 //! Connections are **not** threads: one readiness loop holds every client
 //! socket (nonblocking, multiplexed through the std-only `poll(2)` wrapper
 //! in [`crate::poll`]), so a coordinator fanning a campaign across workers
-//! — or thousands of loadgen clients — costs the server one poll entry
+//! — or thousands of concurrent clients — costs the server one poll entry
 //! each, not a stack each. Per-connection read/write buffering is the
 //! explicit [`LineReader`]/[`WriteQueue`] state machines from
 //! [`crate::proto`]; workers hand results back over per-job mpsc channels
@@ -887,7 +887,8 @@ fn worker_loop(inner: &Arc<Inner>, worker_idx: usize) {
             m.record_hist(Hist::ServeQueueMicros, queue_wait.as_micros() as u64);
             m.record_hist(Hist::ServeJobMicros, dur.as_micros() as u64);
             // Busy time across the pool: utilization = busy_us delta over
-            // (uptime_us delta × workers). The fleet loadgen reads this.
+            // (uptime_us delta × workers), as the `watch --workers` fleet
+            // view reads it.
             m.add(Counter::ServeBusyMicros, dur.as_micros() as u64);
         }
         if inner.config.trace_path.is_some() {

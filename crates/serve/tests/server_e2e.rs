@@ -1,6 +1,7 @@
 //! End-to-end tests of the job server over real TCP with a mock executor:
 //! job flow, admission control under saturation, per-job timeout
-//! cancellation, graceful-shutdown draining, and the loadgen harness.
+//! cancellation, graceful-shutdown draining, and exactly-once delivery
+//! under saturation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -8,8 +9,8 @@ use std::time::Duration;
 
 use turnpike_metrics::Counter;
 use turnpike_serve::{
-    loadgen, Client, ExecOutput, Executor, JobCtl, JobKind, JobRequest, LoadgenConfig, Outcome,
-    Server, ServerConfig, StoreStatus,
+    Backoff, Client, ExecOutput, Executor, JobCtl, JobKind, JobRequest, Outcome, Server,
+    ServerConfig, StoreStatus,
 };
 
 /// Scriptable executor: renders a deterministic payload after an optional
@@ -307,8 +308,13 @@ fn graceful_shutdown_drains_in_flight_and_queued_jobs() {
     assert_eq!(exec.executions.load(Ordering::SeqCst), 3);
 }
 
+/// Eight clients saturate a two-slot queue, retrying every `overloaded`
+/// rejection with [`Backoff`]: each tagged job must reach `done` exactly
+/// once, and the server must have executed each of them exactly once.
 #[test]
-fn loadgen_delivers_every_tagged_job_exactly_once() {
+fn saturated_clients_get_every_tagged_job_done_exactly_once() {
+    const CLIENTS: usize = 8;
+    const JOBS: usize = 5;
     let config = ServerConfig {
         workers: 2,
         queue_capacity: 2, // small queue: saturation expected
@@ -316,23 +322,58 @@ fn loadgen_delivers_every_tagged_job_exactly_once() {
         ..ServerConfig::default()
     };
     let (server, exec) = start(config, MockExec::instant());
-    let cfg = LoadgenConfig {
-        clients: 8,
-        jobs_per_client: 5,
-        request: JobRequest::new(JobKind::Run),
-        max_retries: 10_000,
-    };
-    let report = loadgen(server.addr(), &cfg).unwrap();
-    assert_eq!(report.jobs, 40);
-    assert_eq!(report.completed, 40);
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.lost, 0, "lost jobs: {}", report.to_json());
-    assert_eq!(report.duplicated, 0);
-    assert_eq!(exec.executions.load(Ordering::SeqCst), 40);
-    assert_eq!(report.latency.count(), 40);
-    let json = report.to_json();
-    assert!(json.contains("\"latency_p50_us\":"), "{json}");
-    assert!(json.contains("\"latency_p99_us\":"), "{json}");
+    let addr = server.addr();
+    let (done_tags, rejections) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let mut backoff = Backoff::new(1, 1_000, c as u64);
+                    let (mut done, mut rejected) = (Vec::new(), 0u64);
+                    for j in 0..JOBS {
+                        let mut req = JobRequest::new(JobKind::Run);
+                        req.tag = format!("c{c}-j{j}");
+                        loop {
+                            match client.submit(&req).unwrap() {
+                                Outcome::Done { .. } => break,
+                                Outcome::Overloaded { retry_after_ms } => {
+                                    rejected += 1;
+                                    std::thread::sleep(backoff.next_delay(retry_after_ms));
+                                }
+                                other => panic!("{}: {other:?}", req.tag),
+                            }
+                        }
+                        backoff.reset();
+                        done.push(req.tag);
+                    }
+                    (done, rejected)
+                })
+            })
+            .collect();
+        let mut tags = Vec::new();
+        let mut rejections = 0;
+        for c in clients {
+            let (done, rejected) = c.join().unwrap();
+            tags.extend(done);
+            rejections += rejected;
+        }
+        (tags, rejections)
+    });
+    let mut sorted = done_tags.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(sorted.len(), CLIENTS * JOBS, "a tag completed twice");
+    assert_eq!(exec.executions.load(Ordering::SeqCst), CLIENTS * JOBS);
+    let stats = Client::connect(addr).unwrap().stats().unwrap();
+    let stats = turnpike_serve::Json::parse(&stats).unwrap();
+    let count = |key: &str| stats.get(key).and_then(|v| v.as_u64()).unwrap();
+    assert_eq!(count("accepted"), (CLIENTS * JOBS) as u64);
+    assert_eq!(count("completed"), (CLIENTS * JOBS) as u64);
+    assert_eq!(
+        count("rejected"),
+        rejections,
+        "every rejection reached a client"
+    );
     server.shutdown();
 }
 

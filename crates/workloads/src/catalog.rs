@@ -42,6 +42,15 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale's lowercase name (`"smoke"` / `"full"`), as used on the
+    /// command line, in job requests and in perf records.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Smoke => "smoke",
+            Scale::Full => "full",
+        }
+    }
+
     fn f(self, full: i64) -> i64 {
         match self {
             Scale::Smoke => (full / 16).max(8),
