@@ -70,11 +70,10 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use turnpike_bench::{
-    coordinate, export_trace, fault_probe_metrics, find_kernel, hist_summary_json, json_string,
-    target_by_name, write_block, CoordinateConfig, Engine, EngineExecutor, Table, Target,
-    TraceFormat, TARGETS,
+    coordinate, export_trace, fault_probe_metrics, find_kernel, hist_summary_json, target_by_name,
+    write_block, CoordinateConfig, Engine, EngineExecutor, Table, Target, TraceFormat, TARGETS,
 };
-use turnpike_metrics::{Hist, MetricSet};
+use turnpike_metrics::{Hist, Json, MetricSet};
 use turnpike_resilience::{par_map, RunSpec, Scheme};
 use turnpike_serve::{Client, JobKind, JobRequest, Outcome, Server, ServerConfig, Store};
 use turnpike_sim::{Core, FaultPlan, Refusal, Translation};
@@ -438,7 +437,7 @@ fn default_threads() -> usize {
 
 /// Merge `record` into `BENCH_reproduce.json` as block `key`; a write
 /// failure only warns.
-fn record_block(key: &str, record: &str) {
+fn record_block(key: &str, record: Json) {
     if let Err(e) = write_block("BENCH_reproduce.json", key, record) {
         eprintln!("# warning: could not write BENCH_reproduce.json: {e}");
     }
@@ -609,6 +608,9 @@ fn serve_main(a: &Args) -> Cli {
 fn submit_main(a: &Args) -> Cli {
     a.requires("--store", "--direct")?;
     a.requires("--threads", "--direct")?;
+    for server_only in ["--stats", "--shutdown", "--addr", "--progress"] {
+        a.excludes("--direct", server_only)?;
+    }
     let req = job_request(a, JobKind::Run)?;
     let threads = a.threads()?;
     let addr = a.text("--addr").unwrap_or(DEFAULT_ADDR);
@@ -813,7 +815,7 @@ fn telemetry_main(a: &Args) -> Cli {
     );
     let snapshots = std::sync::atomic::AtomicUsize::new(0);
     let (mut wall_off_us, mut wall_on_us) = (0u128, 0u128);
-    let mut rung_rows = String::new();
+    let mut rung_rows = Vec::new();
     let mut turnpike_records = Vec::new();
     for scheme in Scheme::LADDER {
         let spec = RunSpec::new(scheme);
@@ -863,17 +865,13 @@ fn telemetry_main(a: &Args) -> Cli {
             off_report.post_completion,
             off_report.hangs,
         );
-        if !rung_rows.is_empty() {
-            rung_rows.push_str(",\n");
-        }
-        rung_rows.push_str(&format!(
-            "    {{\"scheme\": {}, \"runs\": {}, \"sdc\": {}, \"detections\": {}, \"hangs\": {}}}",
-            json_string(scheme.cli_name()),
-            off_report.runs,
-            off_report.sdc,
-            off_report.detections,
-            off_report.hangs
-        ));
+        rung_rows.push(Json::obj([
+            ("scheme", Json::from(scheme.cli_name())),
+            ("runs", off_report.runs.into()),
+            ("sdc", off_report.sdc.into()),
+            ("detections", off_report.detections.into()),
+            ("hangs", off_report.hangs.into()),
+        ]));
         if scheme == Scheme::Turnpike {
             turnpike_records = off_records;
         }
@@ -891,7 +889,7 @@ fn telemetry_main(a: &Args) -> Cli {
         wall_on_us / 1000,
     );
 
-    let mut stop_json = String::new();
+    let mut stop_json = None;
     if let Some(half_width) = stop_ci {
         let stop_config = CampaignConfig {
             stop: StopRule::CiWidth {
@@ -916,12 +914,12 @@ fn telemetry_main(a: &Args) -> Cli {
             runs,
             est.half_width()
         );
-        stop_json = format!(
-            ",\n  \"stop_ci\": {{\"half_width\": {half_width}, \"cap\": {runs}, \
-             \"executed\": {}, \"final_half_width\": {:.4}}}",
-            report.runs,
-            est.half_width()
-        );
+        stop_json = Some(Json::obj([
+            ("half_width", Json::from(half_width)),
+            ("cap", runs.into()),
+            ("executed", report.runs.into()),
+            ("final_half_width", Json::fixed(est.half_width(), 4)),
+        ]));
     }
 
     if let Some(path) = records_path {
@@ -939,17 +937,21 @@ fn telemetry_main(a: &Args) -> Cli {
         );
     }
 
-    let record = format!(
-        "{{\n  \"scale\": {},\n  \"kernel\": {},\n  \"runs\": {runs},\n  \"seed\": {seed},\n  \
-         \"threads\": {threads},\n  \"wall_off_ms\": {},\n  \"wall_on_ms\": {},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \"snapshots_per_pass\": {snapshots}{stop_json},\n  \
-         \"rungs\": [\n{rung_rows}\n  ]\n}}",
-        json_string(scale.name()),
-        json_string(kernel_name),
-        wall_off_us / 1000,
-        wall_on_us / 1000,
-    );
-    record_block("telemetry", &record);
+    let record = [
+        ("scale", Json::from(scale.name())),
+        ("kernel", kernel_name.into()),
+        ("runs", runs.into()),
+        ("seed", seed.into()),
+        ("threads", threads.into()),
+        ("wall_off_ms", (wall_off_us / 1000).into()),
+        ("wall_on_ms", (wall_on_us / 1000).into()),
+        ("overhead_pct", Json::fixed(overhead_pct, 2)),
+        ("snapshots_per_pass", snapshots.into()),
+    ]
+    .into_iter()
+    .chain(stop_json.map(|stop| ("stop_ci", stop)))
+    .chain([("rungs", Json::Arr(rung_rows))]);
+    record_block("telemetry", Json::obj(record));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1035,25 +1037,22 @@ fn explore_main(a: &Args) -> Cli {
     );
 
     let c = report.counts;
-    let record = format!(
-        "{{\n  \"scale\": {},\n  \"seed\": {},\n  \"epsilon\": {},\n  \"grid_raw\": {},\n  \
-         \"grid_canonical\": {},\n  \"promoted\": {},\n  \"frontier\": {},\n  \"jobs\": {},\n  \
-         \"store_hits\": {},\n  \"campaign_runs\": {},\n  \"threads\": {},\n  \"workers\": {},\n  \
-         \"wall_ms\": {wall_ms}\n}}",
-        json_string(cfg.scale.name()),
-        cfg.seed,
-        cfg.epsilon,
-        c.raw,
-        c.canonical,
-        c.promoted,
-        c.frontier,
-        c.jobs,
-        c.store_hits,
-        c.campaign_runs,
-        threads,
-        workers.len(),
-    );
-    record_block("explore", &record);
+    let record = Json::obj([
+        ("scale", Json::from(cfg.scale.name())),
+        ("seed", cfg.seed.into()),
+        ("epsilon", cfg.epsilon.into()),
+        ("grid_raw", c.raw.into()),
+        ("grid_canonical", c.canonical.into()),
+        ("promoted", c.promoted.into()),
+        ("frontier", c.frontier.into()),
+        ("jobs", c.jobs.into()),
+        ("store_hits", c.store_hits.into()),
+        ("campaign_runs", c.campaign_runs.into()),
+        ("threads", threads.into()),
+        ("workers", workers.len().into()),
+        ("wall_ms", wall_ms.into()),
+    ]);
+    record_block("explore", record);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1079,7 +1078,7 @@ fn sim_throughput_main(a: &Args) -> Cli {
         "# sim-throughput: {} scale, min of {reps} reps per cell",
         scale.name()
     );
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     let (mut interp_ns, mut translated_ns, mut total_insts) = (0.0f64, 0.0f64, 0u64);
     for k in all_kernels(scale) {
         for scheme in [Scheme::Baseline, Scheme::Turnpike] {
@@ -1120,17 +1119,15 @@ fn sim_throughput_main(a: &Args) -> Cli {
                 i_ns,
                 t_ns,
             );
-            if !rows.is_empty() {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"suite\": {}, \"kernel\": {}, \"scheme\": {}, \"insts\": {insts}, \
-                 \"cycles\": {cycles}, \"interp_ns_per_inst\": {i_ns:.1}, \
-                 \"translated_ns_per_inst\": {t_ns:.1}}}",
-                json_string(suite_key(k.suite)),
-                json_string(k.name),
-                json_string(scheme.cli_name()),
-            ));
+            rows.push(Json::obj([
+                ("suite", Json::from(suite_key(k.suite))),
+                ("kernel", k.name.into()),
+                ("scheme", scheme.cli_name().into()),
+                ("insts", insts.into()),
+                ("cycles", cycles.into()),
+                ("interp_ns_per_inst", Json::fixed(i_ns, 1)),
+                ("translated_ns_per_inst", Json::fixed(t_ns, 1)),
+            ]));
         }
     }
     // The headline: wall time per retired instruction over every cell's
@@ -1142,15 +1139,15 @@ fn sim_throughput_main(a: &Args) -> Cli {
         "golden path: {golden:.1} ns/inst translated ({interp:.1} interpreted, {:.2}x)",
         interp / golden
     );
-    let record = format!(
-        "{{\n  \"scale\": {},\n  \"reps\": {reps},\n  \
-         \"golden_path_ns_per_inst\": {golden:.1},\n  \
-         \"interp_ns_per_inst\": {interp:.1},\n  \"speedup\": {:.2},\n  \
-         \"kernels\": [\n{rows}\n  ]\n}}",
-        json_string(scale.name()),
-        interp / golden,
-    );
-    record_block("sim_throughput", &record);
+    let record = Json::obj([
+        ("scale", Json::from(scale.name())),
+        ("reps", reps.into()),
+        ("golden_path_ns_per_inst", Json::fixed(golden, 1)),
+        ("interp_ns_per_inst", Json::fixed(interp, 1)),
+        ("speedup", Json::fixed(interp / golden, 2)),
+        ("kernels", Json::Arr(rows)),
+    ]);
+    record_block("sim_throughput", record);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1192,7 +1189,7 @@ fn generate(target: &str, scale: Scale, engine: &Engine) -> Vec<FigureRun> {
     par_map(&TARGETS, outer, |_, t| generate_one(t, scale, &per_figure))
 }
 
-/// Machine-readable perf record (hand-rolled JSON; see `table.rs`).
+/// The perf block of a figure run in `BENCH_reproduce.json`.
 fn bench_json(
     target: &str,
     scale: Scale,
@@ -1201,72 +1198,71 @@ fn bench_json(
     wall_ms: u128,
     figures: &[FigureRun],
     registry: &MetricSet,
-) -> String {
+) -> Json {
     use turnpike_metrics::Counter;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"target\": {},\n", json_string(target)));
-    out.push_str(&format!("  \"scale\": {},\n", json_string(scale.name())));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"cache\": {cache},\n"));
-    out.push_str(&format!("  \"wall_ms\": {wall_ms},\n"));
-    out.push_str(&format!(
-        "  \"compile_cache\": {{\"hits\": {}, \"misses\": {}}},\n",
-        registry.counter(Counter::BenchCompileHits),
-        registry.counter(Counter::BenchCompileMisses)
-    ));
-    out.push_str(&format!(
-        "  \"run_cache\": {{\"hits\": {}, \"misses\": {}}},\n",
-        registry.counter(Counter::BenchRunHits),
-        registry.counter(Counter::BenchRunMisses)
-    ));
-    let refusals: Vec<String> = Refusal::ALL
-        .iter()
-        .map(|&r| {
-            let name = r.counter().name().rsplit('.').next().unwrap_or_default();
-            format!("\"{name}\": {}", registry.counter(r.counter()))
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"fork\": {{\"hits\": {}, \"misses\": {}, \"prefix_cycles_saved\": {}, \
-         \"replay_exits\": {}, \"replay_cycles_saved\": {}, \"replay_refusals\": {{{}}}, \
-         \"replay_budget_exhausted\": {}, \"replay_never_matched\": {}}},\n",
-        registry.counter(Counter::CampaignForkHits),
-        registry.counter(Counter::CampaignForkMisses),
-        registry.counter(Counter::CampaignForkCyclesSaved),
-        registry.counter(Counter::CampaignReplayExits),
-        registry.counter(Counter::CampaignReplayCyclesSaved),
-        refusals.join(", "),
-        registry.counter(Counter::CampaignReplayBudgetExhausted),
-        registry.counter(Counter::CampaignReplayNeverMatched)
-    ));
-    out.push_str(&format!(
-        "  \"histograms\": {},\n",
-        hist_summary_json(registry, "  ")
-    ));
-    out.push_str("  \"figures\": [");
-    for (i, f) in figures.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // `cached` distinguishes a figure served from the run cache from one
-        // that simulated: `wall_ms: 0` alone can't (static tables are also
-        // instant). Hit/miss counts make partially-cached figures visible.
-        out.push_str(&format!(
-            "\n    {{\"id\": {}, \"wall_ms\": {}, \"cached\": {}, \
-             \"run_cache\": {{\"hits\": {}, \"misses\": {}}}}}",
-            json_string(&f.table.id),
-            f.wall_ms,
-            f.run_misses == 0 && f.run_hits > 0,
-            f.run_hits,
-            f.run_misses
-        ));
-    }
-    if !figures.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    let count = |c: Counter| Json::from(registry.counter(c));
+    let hits_misses = |hits: Json, misses: Json| Json::obj([("hits", hits), ("misses", misses)]);
+    let refusals = Refusal::ALL.iter().map(|&r| {
+        let name = r.counter().name().rsplit('.').next().unwrap_or_default();
+        (name, count(r.counter()))
+    });
+    let fork = Json::obj([
+        ("hits", count(Counter::CampaignForkHits)),
+        ("misses", count(Counter::CampaignForkMisses)),
+        (
+            "prefix_cycles_saved",
+            count(Counter::CampaignForkCyclesSaved),
+        ),
+        ("replay_exits", count(Counter::CampaignReplayExits)),
+        (
+            "replay_cycles_saved",
+            count(Counter::CampaignReplayCyclesSaved),
+        ),
+        ("replay_refusals", Json::obj(refusals)),
+        (
+            "replay_budget_exhausted",
+            count(Counter::CampaignReplayBudgetExhausted),
+        ),
+        (
+            "replay_never_matched",
+            count(Counter::CampaignReplayNeverMatched),
+        ),
+    ]);
+    // `cached` distinguishes a figure served from the run cache from one
+    // that simulated: `wall_ms: 0` alone can't (static tables are also
+    // instant). Hit/miss counts make partially-cached figures visible.
+    let figures = figures.iter().map(|f| {
+        Json::obj([
+            ("id", Json::from(f.table.id.as_str())),
+            ("wall_ms", f.wall_ms.into()),
+            ("cached", (f.run_misses == 0 && f.run_hits > 0).into()),
+            (
+                "run_cache",
+                hits_misses(f.run_hits.into(), f.run_misses.into()),
+            ),
+        ])
+    });
+    Json::obj([
+        ("target", Json::from(target)),
+        ("scale", scale.name().into()),
+        ("threads", threads.into()),
+        ("cache", cache.into()),
+        ("wall_ms", wall_ms.into()),
+        (
+            "compile_cache",
+            hits_misses(
+                count(Counter::BenchCompileHits),
+                count(Counter::BenchCompileMisses),
+            ),
+        ),
+        (
+            "run_cache",
+            hits_misses(count(Counter::BenchRunHits), count(Counter::BenchRunMisses)),
+        ),
+        ("fork", fork),
+        ("histograms", hist_summary_json(registry)),
+        ("figures", Json::arr(figures)),
+    ])
 }
 
 /// `reproduce <target>` — print one figure or table (`all`: every
@@ -1343,13 +1339,13 @@ fn figures_main(a: &Args) -> Cli {
     }
     record_block(
         target,
-        &bench_json(target, scale, threads, cache, wall_ms, &tables, &registry),
+        bench_json(target, scale, threads, cache, wall_ms, &tables, &registry),
     );
     // The adaptive rung additionally records its per-kernel comparison
     // against the best uniform scheme (under the "adaptive" key, replacing
     // the generic perf block when the target itself was `adaptive`).
     if let Some(f) = tables.iter().find(|f| f.table.id == "adaptive") {
-        record_block("adaptive", &adaptive_block_json(&f.table, scale, f.wall_ms));
+        record_block("adaptive", adaptive_block_json(&f.table, scale, f.wall_ms));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1357,34 +1353,28 @@ fn figures_main(a: &Args) -> Cli {
 /// The `adaptive` block of `BENCH_reproduce.json`: per-kernel normalized
 /// time of the adaptive rung against the best uniform scheme, plus the
 /// figure's wall-clock (columns are pinned by the `adaptive` generator).
-fn adaptive_block_json(table: &Table, scale: Scale, wall_ms: u128) -> String {
-    let mut rows = String::new();
-    for (label, v) in &table.rows {
-        if label.starts_with("geomean") {
-            continue;
-        }
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "    {{\"kernel\": {}, \"adaptive\": {:.4}, \"best_uniform\": {:.4}, \
-             \"ratio\": {:.4}, \"win\": {}}}",
-            json_string(label),
-            v[0],
-            v[1],
-            v[2],
-            v[3] > 0.0,
-        ));
-    }
+fn adaptive_block_json(table: &Table, scale: Scale, wall_ms: u128) -> Json {
+    let kernels = table
+        .rows
+        .iter()
+        .filter(|(label, _)| !label.starts_with("geomean"))
+        .map(|(label, v)| {
+            Json::obj([
+                ("kernel", Json::from(label.as_str())),
+                ("adaptive", Json::fixed(v[0], 4)),
+                ("best_uniform", Json::fixed(v[1], 4)),
+                ("ratio", Json::fixed(v[2], 4)),
+                ("win", (v[3] > 0.0).into()),
+            ])
+        });
     let g = table.row("geomean.all").unwrap_or(&[0.0; 4]);
-    format!(
-        "{{\n  \"scale\": {},\n  \"wall_ms\": {wall_ms},\n  \
-         \"geomean_ratio_vs_best_uniform\": {:.4},\n  \"win_rate\": {:.4},\n  \
-         \"kernels\": [\n{rows}\n  ]\n}}",
-        json_string(scale.name()),
-        g[2],
-        g[3],
-    )
+    Json::obj([
+        ("scale", Json::from(scale.name())),
+        ("wall_ms", wall_ms.into()),
+        ("geomean_ratio_vs_best_uniform", Json::fixed(g[2], 4)),
+        ("win_rate", Json::fixed(g[3], 4)),
+        ("kernels", Json::arr(kernels)),
+    ])
 }
 
 fn main() -> ExitCode {

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use turnpike_serve::{Backoff, Client, JobKind, JobRequest, Outcome};
+use turnpike_serve::{Backoff, Client, JobKind, JobRequest, Json, Outcome};
 
 use crate::service::{campaign_payload, CampaignTotals};
 
@@ -75,9 +75,9 @@ pub struct WorkerShare {
 /// What a [`coordinate`] call produced.
 #[derive(Debug, Clone)]
 pub struct CoordinateReport {
-    /// Merged campaign payload — byte-identical to a single-process run
-    /// of the same request.
-    pub payload: String,
+    /// Merged campaign payload — its compact rendering is byte-identical
+    /// to a single-process run of the same request.
+    pub payload: Json,
     /// The merged counters behind `payload`.
     pub totals: CampaignTotals,
     /// Shards the campaign was split into.
@@ -91,27 +91,24 @@ pub struct CoordinateReport {
 }
 
 impl CoordinateReport {
-    /// Single-line JSON rendering with fixed key order (the campaign
-    /// payload itself is embedded verbatim).
-    pub fn to_json(&self) -> String {
-        let workers = self
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"addr\":{},\"shards_done\":{},\"runs_done\":{},\"alive\":{}}}",
-                    crate::table::json_string(&w.addr),
-                    w.shards_done,
-                    w.runs_done,
-                    w.alive
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"shards\":{},\"reassigned\":{},\"wall_us\":{},\"workers\":[{}],\"campaign\":{}}}",
-            self.shards, self.reassigned, self.wall_us, workers, self.payload
-        )
+    /// The report as one JSON object with fixed key order, the merged
+    /// campaign payload last.
+    pub fn to_json(&self) -> Json {
+        let workers = self.workers.iter().map(|w| {
+            Json::obj([
+                ("addr", w.addr.as_str().into()),
+                ("shards_done", w.shards_done.into()),
+                ("runs_done", w.runs_done.into()),
+                ("alive", w.alive.into()),
+            ])
+        });
+        Json::obj([
+            ("shards", self.shards.into()),
+            ("reassigned", self.reassigned.into()),
+            ("wall_us", self.wall_us.into()),
+            ("workers", Json::arr(workers)),
+            ("campaign", self.payload.clone()),
+        ])
     }
 }
 

@@ -551,82 +551,50 @@ pub fn run_explore(
 /// every *promoted* point (objectives, price, campaign evidence, frontier
 /// flag) plus the search's identity (scale, seed, epsilon, grid counts).
 /// Rendering is fully deterministic — points in canonical enumeration
-/// order, floats through the shared `json_number`, no timestamps — so the
-/// artifact is byte-identical across thread and worker counts and
-/// golden-diffable in CI.
+/// order, [`Json::pretty`] layout, no timestamps — so the artifact is
+/// byte-identical across thread and worker counts and golden-diffable in
+/// CI.
 pub fn frontier_json(cfg: &ExploreConfig, report: &ExploreReport) -> String {
-    use crate::table::{json_number, json_string};
     let c = report.counts;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"turnpike-explore-frontier-v1\",\n");
-    out.push_str(&format!(
-        "  \"scale\": {},\n",
-        json_string(cfg.scale.name())
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"epsilon\": {},\n", json_number(cfg.epsilon)));
-    out.push_str(&format!(
-        "  \"area_unit_um2\": {},\n",
-        json_number(area_unit())
-    ));
-    out.push_str(&format!(
-        "  \"grid\": {{\"raw\": {}, \"canonical\": {}, \"promoted\": {}, \"frontier\": {}}},\n",
-        c.raw, c.canonical, c.promoted, c.frontier
-    ));
-    out.push_str("  \"objectives\": [\"overhead\", \"area\", \"sdc\"],\n");
-    out.push_str("  \"points\": [\n");
-    let promoted: Vec<&PointEval> = report
-        .points
-        .iter()
-        .filter(|e| e.promoted.is_some())
-        .collect();
-    for (n, eval) in promoted.iter().enumerate() {
-        let p = eval.promoted.as_ref().expect("filtered to promoted");
+    let points = report.points.iter().filter_map(|eval| {
+        let p = eval.promoted.as_ref()?;
         let point = &eval.point;
-        out.push_str("    {");
-        out.push_str(&format!("\"id\": {}, ", json_string(&point.id())));
-        out.push_str(&format!(
-            "\"scheme\": {}, ",
-            json_string(point.scheme.cli_name())
-        ));
-        out.push_str(&format!("\"wcdl\": {}, ", point.wcdl));
-        out.push_str(&format!("\"sb\": {}, ", point.sb_size));
-        out.push_str(&format!(
-            "\"clq\": {}, ",
-            point
-                .clq
-                .map_or_else(|| "null".to_string(), |c| json_string(&clq_name(c)))
-        ));
-        out.push_str(&format!(
-            "\"colors\": {}, ",
-            point
-                .colors
-                .map_or_else(|| "null".to_string(), |c| c.to_string())
-        ));
-        out.push_str(&format!("\"geom\": {}, ", json_string(point.geom.name)));
-        out.push_str(&format!("\"area_um2\": {}, ", json_number(eval.area_um2)));
-        out.push_str(&format!("\"energy_pj\": {}, ", json_number(eval.energy_pj)));
-        out.push_str(&format!(
-            "\"overhead\": {}, ",
-            json_number(p.objectives.overhead)
-        ));
-        out.push_str(&format!(
-            "\"sdc_rate\": {}, ",
-            json_number(p.objectives.sdc)
-        ));
-        out.push_str(&format!("\"sdc\": {}, ", p.sdc));
-        out.push_str(&format!("\"runs\": {}, ", p.runs));
-        out.push_str(&format!("\"frontier\": {}", p.frontier));
-        out.push_str(if n + 1 < promoted.len() {
-            "},\n"
-        } else {
-            "}\n"
-        });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+        Some(Json::obj([
+            ("id", point.id().into()),
+            ("scheme", point.scheme.cli_name().into()),
+            ("wcdl", point.wcdl.into()),
+            ("sb", point.sb_size.into()),
+            ("clq", point.clq.map(clq_name).into()),
+            ("colors", point.colors.into()),
+            ("geom", point.geom.name.into()),
+            ("area_um2", eval.area_um2.into()),
+            ("energy_pj", eval.energy_pj.into()),
+            ("overhead", p.objectives.overhead.into()),
+            ("sdc_rate", p.objectives.sdc.into()),
+            ("sdc", p.sdc.into()),
+            ("runs", p.runs.into()),
+            ("frontier", p.frontier.into()),
+        ]))
+    });
+    let doc = Json::obj([
+        ("schema", Json::from("turnpike-explore-frontier-v1")),
+        ("scale", cfg.scale.name().into()),
+        ("seed", cfg.seed.into()),
+        ("epsilon", cfg.epsilon.into()),
+        ("area_unit_um2", area_unit().into()),
+        (
+            "grid",
+            Json::obj([
+                ("raw", c.raw.into()),
+                ("canonical", c.canonical.into()),
+                ("promoted", c.promoted.into()),
+                ("frontier", c.frontier.into()),
+            ]),
+        ),
+        ("objectives", Json::arr(["overhead", "area", "sdc"])),
+        ("points", Json::arr(points)),
+    ]);
+    doc.pretty() + "\n"
 }
 
 /// The frontier as a printable figure: one row per frontier point (in

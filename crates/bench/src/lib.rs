@@ -25,5 +25,5 @@ pub use figures::*;
 pub use obs::{export_trace, fault_probe_metrics, find_kernel, hist_summary_json, TraceFormat};
 pub use report::{upsert_block, write_block};
 pub use service::{campaign_payload, uniform_store_key_material, CampaignTotals, EngineExecutor};
-pub use table::{json_number, json_string, Table};
+pub use table::Table;
 pub use watch::{fmt_eta, progress_line, render_fleet_watch, render_watch};

@@ -7,7 +7,7 @@
 //! fault-free cycle count, so every export shows a full
 //! strike→detection→recovery arc at a reproducible spot.
 
-use turnpike_metrics::{Hist, MetricSet};
+use turnpike_metrics::{Hist, Json, MetricSet};
 use turnpike_resilience::{
     fault_campaign_hooked, CampaignConfig, CampaignHook, ForkStats, RunError, RunSpec, Scheme,
 };
@@ -135,33 +135,20 @@ const SUMMARY_KEYS: [Hist; 6] = [
     Hist::SimMicros,
 ];
 
-/// Render the registry's histograms as the `"histograms"` JSON object of
+/// The registry's histograms as the `"histograms"` object of
 /// `BENCH_reproduce.json`: per key, sample count, p50, p99, and max.
 /// Keys with no samples are omitted.
-pub fn hist_summary_json(m: &MetricSet, indent: &str) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
-    for key in SUMMARY_KEYS {
-        let Some(h) = m.hist(key) else { continue };
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n{indent}  \"{}\": {{\"count\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}",
-            key.name(),
-            h.count(),
-            h.quantile(0.50),
-            h.quantile(0.99),
-            h.max()
-        ));
-    }
-    if !first {
-        out.push('\n');
-        out.push_str(indent);
-    }
-    out.push('}');
-    out
+pub fn hist_summary_json(m: &MetricSet) -> Json {
+    Json::obj(SUMMARY_KEYS.into_iter().filter_map(|key| {
+        let h = m.hist(key)?;
+        let summary = Json::obj([
+            ("count", Json::from(h.count())),
+            ("p50", h.quantile(0.50).into()),
+            ("p99", h.quantile(0.99).into()),
+            ("max", h.max().into()),
+        ]);
+        Some((key.name(), summary))
+    }))
 }
 
 #[cfg(test)]
@@ -206,14 +193,14 @@ mod tests {
         assert!(m.hist(Hist::RecoveryPenalty).unwrap().count() >= 8);
         // Every injected run is accounted as a fork hit or a miss.
         assert_eq!(fork.hits + fork.misses, 8);
-        let json = hist_summary_json(&m, "  ");
+        let json = hist_summary_json(&m).to_string();
         assert!(json.contains("\"sim.hist.detect_latency_cycles\""));
         assert!(json.contains("\"p99\""));
     }
 
     #[test]
     fn summary_omits_empty_histograms() {
-        assert_eq!(hist_summary_json(&MetricSet::new(), ""), "{}");
+        assert_eq!(hist_summary_json(&MetricSet::new()), Json::Obj(Vec::new()));
     }
 
     #[test]

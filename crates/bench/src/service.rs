@@ -34,7 +34,6 @@ use turnpike_workloads::{Kernel, Scale};
 use crate::engine::Engine;
 use crate::figures::target_by_name;
 use crate::obs::find_kernel;
-use crate::table::json_string;
 
 /// [`Executor`] wiring jobs to the evaluation [`Engine`] and an optional
 /// persistent artifact [`Store`].
@@ -128,29 +127,26 @@ impl CampaignTotals {
 /// and the distributed coordinator both call it, which is what makes a
 /// merged fleet report byte-identical to the single-process payload.
 /// `scale` is the validated scale label (`"smoke"`/`"full"`).
-pub fn campaign_payload(req: &JobRequest, scale: &str, t: &CampaignTotals) -> String {
-    format!(
-        "{{\"kind\":\"campaign\",\"kernel\":{},\"scheme\":{},\"scale\":{},\"sb\":{},\"wcdl\":{},\
-         \"runs\":{},\"seed\":{},\"strikes\":{},\"sdc\":{},\"sdc_free\":{},\
-         \"recoveries\":{},\"detections\":{},\"parity_detections\":{},\
-         \"sensor_detections\":{},\"post_completion\":{},\"hangs\":{}}}",
-        json_string(&req.kernel),
-        json_string(&req.scheme),
-        json_string(scale),
-        req.sb,
-        req.wcdl,
-        t.runs,
-        req.seed,
-        req.strikes,
-        t.sdc,
-        t.sdc == 0,
-        t.recoveries,
-        t.detections,
-        t.parity_detections,
-        t.sensor_detections,
-        t.post_completion,
-        t.hangs
-    )
+pub fn campaign_payload(req: &JobRequest, scale: &str, t: &CampaignTotals) -> Json {
+    Json::obj([
+        ("kind", Json::from("campaign")),
+        ("kernel", req.kernel.as_str().into()),
+        ("scheme", req.scheme.as_str().into()),
+        ("scale", scale.into()),
+        ("sb", req.sb.into()),
+        ("wcdl", req.wcdl.into()),
+        ("runs", t.runs.into()),
+        ("seed", req.seed.into()),
+        ("strikes", req.strikes.into()),
+        ("sdc", t.sdc.into()),
+        ("sdc_free", (t.sdc == 0).into()),
+        ("recoveries", t.recoveries.into()),
+        ("detections", t.detections.into()),
+        ("parity_detections", t.parity_detections.into()),
+        ("sensor_detections", t.sensor_detections.into()),
+        ("post_completion", t.post_completion.into()),
+        ("hangs", t.hangs.into()),
+    ])
 }
 
 /// The store-key material (the `cc=…|sc=…` Debug renderings) for every
@@ -392,53 +388,50 @@ impl EngineExecutor {
         }
     }
 
-    fn render(&self, req: &JobRequest, r: &Resolved, ctl: &JobCtl) -> Result<String, String> {
+    fn render(&self, req: &JobRequest, r: &Resolved, ctl: &JobCtl) -> Result<Json, String> {
         if ctl.is_canceled() {
             return Err("canceled before execution".to_string());
         }
         let spec = Self::spec(req, r);
-        let head = |kind: &str| {
-            format!(
-                "{{\"kind\":{},\"kernel\":{},\"scheme\":{},\"scale\":{},\"sb\":{},\"wcdl\":{}",
-                json_string(kind),
-                json_string(&req.kernel),
-                json_string(&req.scheme),
-                json_string(r.scale.name()),
-                req.sb,
-                req.wcdl
-            )
+        let with_head = |kind: &str, rest: Vec<(&str, Json)>| {
+            let head: [(&str, Json); 6] = [
+                ("kind", kind.into()),
+                ("kernel", req.kernel.as_str().into()),
+                ("scheme", req.scheme.as_str().into()),
+                ("scale", r.scale.name().into()),
+                ("sb", req.sb.into()),
+                ("wcdl", req.wcdl.into()),
+            ];
+            Json::obj(head.into_iter().chain(rest))
         };
         match req.kind {
             JobKind::Compile => {
                 let kernel = r.kernel.as_ref().expect("non-figure");
                 let out = self.engine.compile(kernel, &spec.compiler_config());
                 let s = &out.stats;
-                Ok(format!(
-                    "{},\"ckpts_inserted\":{},\"ckpts_pruned\":{},\"ckpts_licm_removed\":{},\
-                     \"spill_stores\":{},\"spill_loads\":{},\"spilled_vregs\":{},\
-                     \"ivs_merged\":{},\"boundaries\":{},\"split_iterations\":{},\
-                     \"final_insts\":{},\"baseline_insts\":{}}}",
-                    head("compile"),
-                    s.ckpts_inserted,
-                    s.ckpts_pruned,
-                    s.ckpts_licm_removed,
-                    s.spill_stores,
-                    s.spill_loads,
-                    s.spilled_vregs,
-                    s.ivs_merged,
-                    s.boundaries,
-                    s.split_iterations,
-                    s.final_insts,
-                    s.baseline_insts
+                Ok(with_head(
+                    "compile",
+                    vec![
+                        ("ckpts_inserted", s.ckpts_inserted.into()),
+                        ("ckpts_pruned", s.ckpts_pruned.into()),
+                        ("ckpts_licm_removed", s.ckpts_licm_removed.into()),
+                        ("spill_stores", s.spill_stores.into()),
+                        ("spill_loads", s.spill_loads.into()),
+                        ("spilled_vregs", s.spilled_vregs.into()),
+                        ("ivs_merged", s.ivs_merged.into()),
+                        ("boundaries", s.boundaries.into()),
+                        ("split_iterations", s.split_iterations.into()),
+                        ("final_insts", s.final_insts.into()),
+                        ("baseline_insts", s.baseline_insts.into()),
+                    ],
                 ))
             }
             JobKind::Run => {
                 let kernel = r.kernel.as_ref().expect("non-figure");
                 let result = self.engine.run(kernel, &spec);
-                Ok(format!(
-                    "{},\"stats\":{}}}",
-                    head("run"),
-                    result.outcome.stats.to_json()
+                Ok(with_head(
+                    "run",
+                    vec![("stats", result.outcome.stats.to_json())],
                 ))
             }
             JobKind::Campaign => {
@@ -485,12 +478,12 @@ impl EngineExecutor {
             JobKind::Figure => {
                 let target = target_by_name(&req.target).expect("validated in resolve");
                 let table = (target.generate)(&self.engine.figure_scope(), r.scale);
-                Ok(format!(
-                    "{{\"kind\":\"figure\",\"target\":{},\"scale\":{},\"table\":{}}}",
-                    json_string(&req.target),
-                    json_string(r.scale.name()),
-                    table.to_compact_json()
-                ))
+                Ok(Json::obj([
+                    ("kind", Json::from("figure")),
+                    ("target", req.target.as_str().into()),
+                    ("scale", r.scale.name().into()),
+                    ("table", table.json()),
+                ]))
             }
         }
     }
@@ -514,7 +507,7 @@ impl Executor for EngineExecutor {
                 Lookup::Quarantined => quarantined = 1,
             }
         }
-        let payload = self.render(req, &resolved, ctl)?;
+        let payload = self.render(req, &resolved, ctl)?.to_string();
         let store = match &self.store {
             Some(store) => {
                 // A failed put degrades to "not cached", never to a failed
@@ -605,7 +598,10 @@ mod tests {
             let payload = exec.execute_direct(&shard).unwrap().result;
             merged.absorb(&CampaignTotals::from_payload(&payload).expect("parsable shard"));
         }
-        assert_eq!(campaign_payload(&whole, "smoke", &merged), direct);
+        assert_eq!(
+            campaign_payload(&whole, "smoke", &merged).to_string(),
+            direct
+        );
     }
 
     #[test]

@@ -1,4 +1,11 @@
 //! Tabular result container shared by all figure generators.
+//!
+//! A [`Table`] prints as aligned text (`Display`) and serializes through
+//! the shared [`Json`] layer: [`Table::json`] is the value (the serving
+//! layer embeds its compact rendering in figure payloads) and
+//! [`Table::to_json`] its pretty file layout (`reproduce --json`).
+
+use turnpike_metrics::Json;
 
 /// A named table of labeled numeric rows (one row per benchmark or series
 /// point, one column per configuration).
@@ -49,113 +56,26 @@ impl Table {
         Some(self.rows.iter().map(|(_, v)| v[idx]).collect())
     }
 
-    /// Serialize as pretty JSON (hand-rolled: the build environment has no
-    /// registry access for serde, and the format is this one fixed shape).
+    /// The table as a JSON value: `id`, `title`, `columns`, then `rows`
+    /// as `[label, [values...]]` pairs, values as floats.
+    pub fn json(&self) -> Json {
+        let rows = self.rows.iter().map(|(label, values)| {
+            Json::arr([label.as_str().into(), Json::arr(values.iter().copied())])
+        });
+        Json::obj([
+            ("id", self.id.as_str().into()),
+            ("title", self.title.as_str().into()),
+            (
+                "columns",
+                Json::arr(self.columns.iter().map(String::as_str)),
+            ),
+            ("rows", Json::arr(rows)),
+        ])
+    }
+
+    /// The table as pretty JSON (the file layout of [`Json::pretty`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.rows.len() * 64);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_string(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
-        out.push_str("  \"columns\": [");
-        for (i, c) in self.columns.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_string(c));
-        }
-        out.push_str("],\n  \"rows\": [");
-        for (i, (label, values)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    [");
-            out.push_str(&json_string(label));
-            out.push_str(", [");
-            for (j, v) in values.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_number(*v));
-            }
-            out.push_str("]]");
-        }
-        if !self.rows.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}");
-        out
-    }
-
-    /// Serialize as compact single-line JSON — same structure and number
-    /// formatting as [`Table::to_json`], no whitespace. The serving layer's
-    /// line-delimited protocol embeds figure results with this.
-    pub fn to_compact_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.rows.len() * 48);
-        out.push_str(&format!(
-            "{{\"id\":{},\"title\":{},\"columns\":[",
-            json_string(&self.id),
-            json_string(&self.title)
-        ));
-        for (i, c) in self.columns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(c));
-        }
-        out.push_str("],\"rows\":[");
-        for (i, (label, values)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            out.push_str(&json_string(label));
-            out.push_str(",[");
-            for (j, v) in values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_number(*v));
-            }
-            out.push_str("]]");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// JSON-escape a string (control characters, quotes, backslashes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render a finite double as a JSON number (non-finite values have no JSON
-/// representation; emit null like serde_json does).
-pub fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    // `{}` on f64 prints the shortest representation that round-trips,
-    // which is valid JSON; force a decimal point for integral values so
-    // consumers see a float.
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+        self.json().pretty()
     }
 }
 
@@ -210,19 +130,19 @@ mod tests {
     }
 
     #[test]
-    fn compact_json_is_one_line_with_the_same_content() {
+    fn json_renders_compact_and_pretty() {
         let mut t = Table::new("figX", "demo", &["a", "b"]);
         t.push("k1", vec![1.0, 2.5]);
-        let c = t.to_compact_json();
-        assert!(!c.contains('\n'));
         assert_eq!(
-            c,
+            t.json().to_string(),
             "{\"id\":\"figX\",\"title\":\"demo\",\"columns\":[\"a\",\"b\"],\
              \"rows\":[[\"k1\",[1.0,2.5]]]}"
         );
-        // Same bytes as the pretty renderer modulo whitespace.
-        let pretty: String = t.to_json().split_whitespace().collect();
-        assert_eq!(pretty, c);
+        assert_eq!(
+            t.to_json(),
+            "{\n  \"id\": \"figX\",\n  \"title\": \"demo\",\n  \"columns\": [\"a\", \"b\"],\n  \
+             \"rows\": [\n    [\"k1\", [1.0, 2.5]]\n  ]\n}"
+        );
     }
 
     #[test]

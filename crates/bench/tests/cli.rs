@@ -77,6 +77,17 @@ fn cross_flag_rules_are_enforced() {
     rejects(&["serve", "--store-cap", "1m"], &["--store-cap", "--store"]);
     rejects(&["submit", "--threads", "2"], &["--threads", "--direct"]);
     rejects(&["submit", "--store", "dir"], &["--store", "--direct"]);
+    // `--direct` runs in-process: every server-only flag is an error
+    // beside it, never silently ignored.
+    for server_only in [
+        &["--stats"][..],
+        &["--shutdown"],
+        &["--addr", "127.0.0.1:1"],
+        &["--progress"],
+    ] {
+        let args = [&["submit", "--direct"][..], server_only].concat();
+        rejects(&args, &["--direct", server_only[0]]);
+    }
     rejects(&["explore", "--resume"], &["--resume", "--store"]);
     rejects(
         &["explore", "--workers", "127.0.0.1:1", "--store", "dir"],

@@ -44,7 +44,7 @@ fn coordinated_fleet_matches_the_single_process_payload_byte_for_byte() {
         ..CoordinateConfig::default()
     };
     let report = coordinate(&addrs, &cfg, None).expect("coordinate");
-    assert_eq!(report.payload, direct_payload(&cfg.request));
+    assert_eq!(report.payload.to_string(), direct_payload(&cfg.request));
     assert_eq!(report.shards, 6);
     assert_eq!(report.totals.runs, 48);
     assert_eq!(
@@ -76,7 +76,7 @@ fn dead_worker_shards_are_redispatched_and_the_merge_is_still_identical() {
         ..CoordinateConfig::default()
     };
     let report = coordinate(&addrs, &cfg, None).expect("coordinate with a dead worker");
-    assert_eq!(report.payload, direct_payload(&cfg.request));
+    assert_eq!(report.payload.to_string(), direct_payload(&cfg.request));
     assert!(
         report.reassigned >= 1,
         "the dead worker's shard was re-queued"
@@ -117,7 +117,7 @@ fn worker_leaving_mid_campaign_does_not_change_the_merged_bytes() {
         )
     });
     let report = report.expect("coordinate during drain");
-    assert_eq!(report.payload, direct_payload(&cfg.request));
+    assert_eq!(report.payload.to_string(), direct_payload(&cfg.request));
     assert_eq!(report.totals.runs, 2048);
     leaver.join();
     survivor.shutdown();

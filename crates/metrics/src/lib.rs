@@ -24,12 +24,15 @@
 //! The [`telemetry`] module builds the *observer* layer on top: streaming
 //! rate estimation with Wilson confidence bounds, windowed throughput, a
 //! bounded reservoir sampler, and Prometheus-style text exposition of a
-//! [`MetricSet`].
+//! [`MetricSet`]. The [`json`] module is the one JSON layer every crate
+//! renders its documents through (reports, payloads, wire lines, traces).
 
 use std::fmt;
 
+pub mod json;
 pub mod telemetry;
 
+pub use json::Json;
 pub use telemetry::{prometheus_text, RateEstimator, Reservoir, ThroughputMeter};
 
 /// How two samples of the same counter combine under [`MetricSet::merge`].

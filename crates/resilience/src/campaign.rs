@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use turnpike_compiler::compile;
 use turnpike_ir::Program;
-use turnpike_metrics::{RateEstimator, ThroughputMeter};
+use turnpike_metrics::{Json, RateEstimator, ThroughputMeter};
 use turnpike_sensor::StrikeSampler;
 use turnpike_sim::{
     Core, Fault, FaultKind, FaultPlan, Refusal, ReplayCensus, ReplayGuide, SimError, SimOutcome,
@@ -294,20 +294,18 @@ pub struct StrikeRecord {
 }
 
 impl StrikeRecord {
-    /// Render the record as one stable JSONL line (no trailing newline).
-    /// Key order is part of the schema: golden-file diffs rely on it.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"run\":{},\"strike\":{},\"strike_cycle\":{},\"detect_latency\":{},\
-             \"recovery_cycles\":{},\"detections\":{},\"outcome\":\"{}\"}}",
-            self.run,
-            self.strike,
-            self.strike_cycle,
-            self.detect_latency,
-            self.recovery_cycles,
-            self.detections,
-            self.outcome.name()
-        )
+    /// The record as one JSONL object (`Display` renders the line). Key
+    /// order is part of the schema: golden-file diffs rely on it.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("run", self.run.into()),
+            ("strike", self.strike.into()),
+            ("strike_cycle", self.strike_cycle.into()),
+            ("detect_latency", self.detect_latency.into()),
+            ("recovery_cycles", self.recovery_cycles.into()),
+            ("detections", self.detections.into()),
+            ("outcome", self.outcome.name().into()),
+        ])
     }
 }
 
@@ -355,15 +353,15 @@ pub fn write_strike_records<W: std::io::Write>(
     }
     let mut kept = reservoir.into_sample();
     kept.sort_unstable();
-    writeln!(
-        w,
-        "{{\"header\":\"strike_records\",\"sampling\":\"reservoir\",\"total\":{},\
-         \"written\":{},\"cap\":{},\"seed\":{}}}",
-        records.len(),
-        kept.len(),
-        cap,
-        seed
-    )?;
+    let header = Json::obj([
+        ("header", Json::from("strike_records")),
+        ("sampling", "reservoir".into()),
+        ("total", records.len().into()),
+        ("written", kept.len().into()),
+        ("cap", cap.into()),
+        ("seed", seed.into()),
+    ]);
+    writeln!(w, "{header}")?;
     for i in kept {
         writeln!(w, "{}", records[i].to_json())?;
     }
@@ -1111,7 +1109,7 @@ mod tests {
             outcome: StrikeOutcome::Recovered,
         };
         assert_eq!(
-            r.to_json(),
+            r.to_json().to_string(),
             "{\"run\":3,\"strike\":0,\"strike_cycle\":120,\"detect_latency\":7,\
              \"recovery_cycles\":42,\"detections\":1,\"outcome\":\"recovered\"}"
         );
@@ -1309,7 +1307,10 @@ mod tests {
         assert_eq!(records.len(), 12);
         // Uncapped output is every record, one per line — no header, no
         // sampling.
-        let plain: String = records.iter().map(|r| r.to_json() + "\n").collect();
+        let plain: String = records
+            .iter()
+            .map(|r| format!("{}\n", r.to_json()))
+            .collect();
         let mut uncapped = Vec::new();
         write_strike_records(&records, None, 0, &mut uncapped).unwrap();
         assert_eq!(plain.as_bytes(), uncapped);
@@ -1325,7 +1326,7 @@ mod tests {
             "{\"header\":\"strike_records\",\"sampling\":\"reservoir\",\"total\":12,\
              \"written\":5,\"cap\":5,\"seed\":99}"
         );
-        let full: Vec<String> = records.iter().map(|r| r.to_json()).collect();
+        let full: Vec<String> = records.iter().map(|r| r.to_json().to_string()).collect();
         let mut last_pos = 0;
         for line in &lines[1..] {
             let pos = full.iter().position(|l| l == line).expect("sampled record");

@@ -1,10 +1,10 @@
 //! Client side: a blocking line-protocol client and its retry backoff.
 //!
 //! [`Client::submit`] returns the job's terminal [`Outcome`]. The `done`
-//! payload is extracted from the event line **textually** (not re-rendered
-//! through the JSON codec) so the bytes the caller sees are exactly the
-//! bytes the executor produced — float formatting survives untouched,
-//! which is what the byte-identical served-vs-CLI guarantee rests on.
+//! payload is the compact rendering of the event's parsed `result` value;
+//! [`Json`] keeps number tokens verbatim, so those bytes are exactly the
+//! bytes the executor produced, which is what the byte-identical
+//! served-vs-CLI guarantee rests on.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -22,7 +22,7 @@ pub enum Outcome {
         job: u64,
         /// Artifact-store disposition (`"hit"` / `"miss"` / `"off"`).
         store: String,
-        /// Verbatim single-line JSON payload.
+        /// The executor's compact JSON payload, byte for byte.
         result: String,
     },
     /// Admission control refused the job.
@@ -46,17 +46,6 @@ pub enum Outcome {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-}
-
-/// Extract the verbatim `result` payload from a `done` line without
-/// re-rendering. The envelope's `,"store":"` / `,"result":` markers
-/// contain unescaped quotes, which cannot occur inside any JSON string our
-/// encoder emits, so a textual search is unambiguous.
-fn extract_result(line: &str) -> Option<&str> {
-    let store_at = line.find(",\"store\":\"")?;
-    let marker = ",\"result\":";
-    let result_at = line[store_at..].find(marker)? + store_at + marker.len();
-    line.get(result_at..line.len() - 1)
 }
 
 impl Client {
@@ -145,7 +134,8 @@ impl Client {
                         .and_then(Json::as_str)
                         .unwrap_or("off")
                         .to_string();
-                    let result = extract_result(&line)
+                    let result = v
+                        .get("result")
                         .ok_or_else(|| bad(format!("done line without result: {line}")))?
                         .to_string();
                     return Ok(Outcome::Done { job, store, result });
@@ -178,24 +168,13 @@ impl Client {
         self.submit_with(req, |_, _| {})
     }
 
-    /// Fetch the server's stats snapshot (a single-line JSON object).
+    /// Fetch the server's stats snapshot (a compact JSON object).
     ///
     /// # Errors
     ///
     /// I/O failures and protocol violations.
     pub fn stats(&mut self) -> std::io::Result<String> {
-        self.send_line("{\"type\":\"stats\"}")?;
-        let line = self.read_line()?;
-        let prefix = "{\"event\":\"stats\",\"server\":";
-        line.strip_prefix(prefix)
-            .and_then(|rest| rest.strip_suffix('}'))
-            .map(ToString::to_string)
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("unexpected stats reply: {line}"),
-                )
-            })
+        self.admin("stats", "server").map(|v| v.to_string())
     }
 
     /// Fetch Prometheus-style text exposition of the server's live metric
@@ -205,22 +184,32 @@ impl Client {
     ///
     /// I/O failures and protocol violations.
     pub fn metrics(&mut self) -> std::io::Result<String> {
-        self.send_line("{\"type\":\"metrics\"}")?;
-        let line = self.read_line()?;
-        let bad = || {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unexpected metrics reply: {line}"),
-            )
-        };
-        let v = Json::parse(&line).map_err(|_| bad())?;
-        if v.get("event").and_then(Json::as_str) != Some("metrics") {
-            return Err(bad());
-        }
-        v.get("body")
-            .and_then(Json::as_str)
+        self.admin("metrics", "body")?
+            .as_str()
             .map(ToString::to_string)
-            .ok_or_else(bad)
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "metrics body is not a string",
+                )
+            })
+    }
+
+    /// Send the admin request `kind` and return member `field` of its
+    /// answer, which must be the event of the same name.
+    fn admin(&mut self, kind: &str, field: &str) -> std::io::Result<Json> {
+        self.send_line(&Json::obj([("type", Json::from(kind))]).to_string())?;
+        let line = self.read_line()?;
+        Json::parse(&line)
+            .ok()
+            .filter(|v| v.get("event").and_then(Json::as_str) == Some(kind))
+            .and_then(|v| v.get(field).cloned())
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("unexpected {kind} reply: {line}"),
+                )
+            })
     }
 
     /// Ask the server to shut down gracefully (drain, then exit).
@@ -229,7 +218,7 @@ impl Client {
     ///
     /// I/O failures.
     pub fn shutdown(&mut self) -> std::io::Result<()> {
-        self.send_line("{\"type\":\"shutdown\"}")?;
+        self.send_line(&Json::obj([("type", Json::from("shutdown"))]).to_string())?;
         let _ = self.read_line()?;
         Ok(())
     }
@@ -306,25 +295,6 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn result_extraction_preserves_payload_bytes() {
-        let line = "{\"event\":\"done\",\"job\":7,\"tag\":\"t\",\"store\":\"miss\",\
-                    \"result\":{\"ipc\":0.500000,\"note\":\"a\\\"b\"}}";
-        assert_eq!(
-            extract_result(line),
-            Some("{\"ipc\":0.500000,\"note\":\"a\\\"b\"}")
-        );
-    }
-
-    #[test]
-    fn result_extraction_is_not_fooled_by_marker_text_in_tag() {
-        // Quotes in the tag are escaped on the wire, so the raw marker
-        // `,"store":"` can only be the envelope's own field.
-        let line = "{\"event\":\"done\",\"job\":1,\"tag\":\",\\\"store\\\":\\\"x\",\
-                    \"store\":\"off\",\"result\":{\"v\":1}}";
-        assert_eq!(extract_result(line), Some("{\"v\":1}"));
-    }
 
     /// Mock-clock walk through the backoff schedule: no sleeping, just the
     /// pure delay sequence, checked against the policy's contract.

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::path::Path;
 
-use crate::json::escape;
+use crate::json::Json;
 
 /// Ring capacity per job. 256 events comfortably covers accept → queue →
 /// start → per-chunk progress → terminal for any realistic campaign while
@@ -32,14 +32,13 @@ pub struct FlightEvent {
 }
 
 impl FlightEvent {
-    /// Render as one stable JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_us\":{},\"kind\":\"{}\",\"detail\":{}}}",
-            self.t_us,
-            self.kind,
-            escape(&self.detail)
-        )
+    /// The event as one JSONL record (`Display` renders the line).
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("t_us", self.t_us.into()),
+            ("kind", self.kind.into()),
+            ("detail", self.detail.as_str().into()),
+        ])
     }
 }
 
@@ -92,15 +91,15 @@ impl FlightRecorder {
     /// Render the ring as JSONL: a header line documenting the job and any
     /// drop-oldest truncation, then one line per retained event in order.
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"flight\":1,\"job\":{},\"events\":{},\"dropped\":{}}}\n",
-            self.job,
-            self.events.len(),
-            self.dropped
-        );
+        let header = Json::obj([
+            ("flight", Json::from(1u64)),
+            ("job", self.job.into()),
+            ("events", self.events.len().into()),
+            ("dropped", self.dropped.into()),
+        ]);
+        let mut out = format!("{header}\n");
         for e in &self.events {
-            out.push_str(&e.to_json());
-            out.push('\n');
+            out.push_str(&format!("{}\n", e.to_json()));
         }
         out
     }

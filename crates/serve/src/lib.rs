@@ -4,8 +4,9 @@
 //! Long fault-injection campaigns and figure regenerations are batch jobs;
 //! this crate turns the evaluation harness into a **service** for them: a
 //! std-only, multi-threaded TCP server speaking a line-delimited JSON
-//! protocol (the same stable-key-order style as the observability layer's
-//! JSONL sink), with
+//! protocol (every line rendered by the shared
+//! [`turnpike_metrics::json`] layer, like the observability layer's JSONL
+//! sink), with
 //!
 //! - a **bounded work queue with admission control** — when the queue is
 //!   full, submissions get a typed `overloaded` rejection with a
@@ -38,7 +39,6 @@
 
 pub mod client;
 pub mod flight;
-pub mod json;
 pub mod poll;
 pub mod proto;
 pub mod queue;
@@ -47,10 +47,10 @@ pub mod store;
 
 pub use client::{Backoff, Client, Outcome};
 pub use flight::{FlightEvent, FlightRecorder, FLIGHT_CAP};
-pub use json::Json;
 pub use proto::{
     Event, JobKind, JobRequest, LineReader, ProgressStats, Request, StoreStatus, WriteQueue,
 };
 pub use queue::{JobQueue, PushError};
 pub use server::{ExecOutput, Executor, JobCtl, Server, ServerConfig};
 pub use store::{Lookup, Store};
+pub use turnpike_metrics::json::{self, Json};

@@ -4,13 +4,13 @@
 //! One request per line; the server answers with one or more event lines
 //! and the final event (`done`, `error`, `overloaded`, `stats`,
 //! `shutting_down`) ends the exchange for that request. Connections are
-//! kept alive for further requests. All messages are single-line JSON with
-//! a fixed key order (see [`crate::json`]); the `result` payload of a
-//! `done` event is produced by the executor and embedded verbatim, which is
-//! what makes a served result byte-identical to the direct-CLI rendering of
-//! the same job.
+//! kept alive for further requests. All messages are compact single-line
+//! [`Json`] with a fixed key order; the `result` payload of a `done` event
+//! is the executor's payload, and because [`Json`] keeps number tokens
+//! verbatim its compact rendering is byte-identical to the direct-CLI
+//! rendering of the same job.
 
-use crate::json::{escape, Json};
+use crate::json::Json;
 
 /// What kind of work a job asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,37 +185,34 @@ impl JobRequest {
     /// Render the request as one wire line (no trailing newline). Key order
     /// is fixed; defaults are written out so the line is self-describing.
     pub fn to_line(&self) -> String {
-        let mut out = format!(
-            "{{\"type\":{},\"kernel\":{},\"scheme\":{},\"scale\":{},\"sb\":{},\"wcdl\":{},\
-             \"runs\":{},\"seed\":{},\"strikes\":{},\"target\":{}",
-            escape(self.kind.name()),
-            escape(&self.kernel),
-            escape(&self.scheme),
-            escape(&self.scale),
-            self.sb,
-            self.wcdl,
-            self.runs,
-            self.seed,
-            self.strikes,
-            escape(&self.target),
-        );
+        let mut m: Vec<(&str, Json)> = vec![
+            ("type", self.kind.name().into()),
+            ("kernel", self.kernel.as_str().into()),
+            ("scheme", self.scheme.as_str().into()),
+            ("scale", self.scale.as_str().into()),
+            ("sb", self.sb.into()),
+            ("wcdl", self.wcdl.into()),
+            ("runs", self.runs.into()),
+            ("seed", self.seed.into()),
+            ("strikes", self.strikes.into()),
+            ("target", self.target.as_str().into()),
+        ];
         if self.run_offset != 0 {
-            out.push_str(&format!(",\"run_offset\":{}", self.run_offset));
+            m.push(("run_offset", self.run_offset.into()));
         }
         if !self.clq.is_empty() {
-            out.push_str(&format!(",\"clq\":{}", escape(&self.clq)));
+            m.push(("clq", self.clq.as_str().into()));
         }
         if self.colors != 0 {
-            out.push_str(&format!(",\"colors\":{}", self.colors));
+            m.push(("colors", self.colors.into()));
         }
         if !self.geom.is_empty() {
-            out.push_str(&format!(",\"geom\":{}", escape(&self.geom)));
+            m.push(("geom", self.geom.as_str().into()));
         }
         if !self.tag.is_empty() {
-            out.push_str(&format!(",\"tag\":{}", escape(&self.tag)));
+            m.push(("tag", self.tag.as_str().into()));
         }
-        out.push('}');
-        out
+        Json::obj(m).to_string()
     }
 }
 
@@ -325,41 +322,26 @@ pub struct ProgressStats {
     pub elapsed_ms: u64,
 }
 
-/// Format an `f64` like the [`crate::json`] writer: integral values as
-/// integers, others via the shortest decimal form that round-trips.
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
 impl ProgressStats {
-    /// Render the payload's key/value pairs (leading comma included), in
-    /// the fixed wire order.
-    fn to_fields(self) -> String {
-        format!(
-            ",\"recovered\":{},\"post_completion\":{},\"sdc\":{},\"hangs\":{},\
-             \"detections\":{},\"sdc_rate\":{},\"sdc_ci_lo\":{},\"sdc_ci_hi\":{},\
-             \"det_rate\":{},\"det_ci_lo\":{},\"det_ci_hi\":{},\"strikes_per_sec\":{},\
-             \"ns_per_inst\":{},\"eta_ms\":{},\"elapsed_ms\":{}",
-            self.recovered,
-            self.post_completion,
-            self.sdc,
-            self.hangs,
-            self.detections,
-            fmt_f64(self.sdc_rate),
-            fmt_f64(self.sdc_ci_lo),
-            fmt_f64(self.sdc_ci_hi),
-            fmt_f64(self.det_rate),
-            fmt_f64(self.det_ci_lo),
-            fmt_f64(self.det_ci_hi),
-            fmt_f64(self.strikes_per_sec),
-            fmt_f64(self.ns_per_inst),
-            self.eta_ms,
-            self.elapsed_ms,
-        )
+    /// The payload's members, in the fixed wire order.
+    fn members(self) -> [(&'static str, Json); 15] {
+        [
+            ("recovered", self.recovered.into()),
+            ("post_completion", self.post_completion.into()),
+            ("sdc", self.sdc.into()),
+            ("hangs", self.hangs.into()),
+            ("detections", self.detections.into()),
+            ("sdc_rate", self.sdc_rate.into()),
+            ("sdc_ci_lo", self.sdc_ci_lo.into()),
+            ("sdc_ci_hi", self.sdc_ci_hi.into()),
+            ("det_rate", self.det_rate.into()),
+            ("det_ci_lo", self.det_ci_lo.into()),
+            ("det_ci_hi", self.det_ci_hi.into()),
+            ("strikes_per_sec", self.strikes_per_sec.into()),
+            ("ns_per_inst", self.ns_per_inst.into()),
+            ("eta_ms", self.eta_ms.into()),
+            ("elapsed_ms", self.elapsed_ms.into()),
+        ]
     }
 
     /// Extract the payload from a parsed `progress` object; `None` when
@@ -427,8 +409,7 @@ pub enum Event {
         /// Estimator payload; `None` renders the historical bare line.
         stats: Option<ProgressStats>,
     },
-    /// The job finished; `result` is the executor's payload (valid
-    /// single-line JSON, embedded verbatim).
+    /// The job finished; `result` is the executor's payload.
     Done {
         /// Server-assigned job id.
         job: u64,
@@ -436,8 +417,8 @@ pub enum Event {
         tag: String,
         /// Artifact-store disposition of the result.
         store: StoreStatus,
-        /// Executor payload (single-line JSON).
-        result: String,
+        /// Executor payload.
+        result: Json,
     },
     /// The job (or request) failed.
     Error {
@@ -448,11 +429,10 @@ pub enum Event {
         /// What went wrong.
         message: String,
     },
-    /// Snapshot answer to a `stats` request; `body` is a pre-rendered
-    /// single-line JSON object.
+    /// Snapshot answer to a `stats` request.
     Stats {
-        /// Pre-rendered JSON object.
-        body: String,
+        /// The server's stats object.
+        body: Json,
     },
     /// Answer to a `metrics` request: the server's live registry as
     /// Prometheus text exposition, carried as one JSON string (newlines
@@ -464,34 +444,30 @@ pub enum Event {
 }
 
 impl Event {
-    /// Render as one wire line (no trailing newline).
+    /// Render as one wire line (no trailing newline): `event`, then `job`
+    /// and `tag` where the event has them, then the event's own fields.
     pub fn to_line(&self) -> String {
-        let tag_field = |tag: &str| {
-            if tag.is_empty() {
-                String::new()
-            } else {
-                format!(",\"tag\":{}", escape(tag))
-            }
-        };
-        match self {
+        let (name, job, tag, rest): (&str, Option<u64>, &str, Vec<(&str, Json)>) = match self {
             Event::Accepted {
                 job,
                 tag,
                 queue_depth,
-            } => format!(
-                "{{\"event\":\"accepted\",\"job\":{job}{},\"queue_depth\":{queue_depth}}}",
-                tag_field(tag)
+            } => (
+                "accepted",
+                Some(*job),
+                tag,
+                vec![("queue_depth", (*queue_depth).into())],
             ),
             Event::Overloaded {
                 tag,
                 retry_after_ms,
-            } => format!(
-                "{{\"event\":\"overloaded\"{},\"retry_after_ms\":{retry_after_ms}}}",
-                tag_field(tag)
+            } => (
+                "overloaded",
+                None,
+                tag,
+                vec![("retry_after_ms", (*retry_after_ms).into())],
             ),
-            Event::ShuttingDown { tag } => {
-                format!("{{\"event\":\"shutting_down\"{}}}", tag_field(tag))
-            }
+            Event::ShuttingDown { tag } => ("shutting_down", None, tag, Vec::new()),
             Event::Progress {
                 job,
                 tag,
@@ -499,32 +475,35 @@ impl Event {
                 total,
                 stats,
             } => {
-                format!(
-                "{{\"event\":\"progress\",\"job\":{job}{},\"done\":{done},\"total\":{total}{}}}",
-                tag_field(tag),
-                stats.map(ProgressStats::to_fields).unwrap_or_default()
-            )
+                let mut rest = vec![("done", (*done).into()), ("total", (*total).into())];
+                rest.extend(stats.iter().flat_map(|s| s.members()));
+                ("progress", Some(*job), tag, rest)
             }
             Event::Done {
                 job,
                 tag,
                 store,
                 result,
-            } => format!(
-                "{{\"event\":\"done\",\"job\":{job}{},\"store\":\"{}\",\"result\":{result}}}",
-                tag_field(tag),
-                store.name()
+            } => (
+                "done",
+                Some(*job),
+                tag,
+                vec![("store", store.name().into()), ("result", result.clone())],
             ),
-            Event::Error { job, tag, message } => format!(
-                "{{\"event\":\"error\",\"job\":{job}{},\"message\":{}}}",
-                tag_field(tag),
-                escape(message)
+            Event::Error { job, tag, message } => (
+                "error",
+                Some(*job),
+                tag,
+                vec![("message", message.as_str().into())],
             ),
-            Event::Stats { body } => format!("{{\"event\":\"stats\",\"server\":{body}}}"),
-            Event::Metrics { body } => {
-                format!("{{\"event\":\"metrics\",\"body\":{}}}", escape(body))
-            }
-        }
+            Event::Stats { body } => ("stats", None, "", vec![("server", body.clone())]),
+            Event::Metrics { body } => ("metrics", None, "", vec![("body", body.as_str().into())]),
+        };
+        let head = [("event", Json::from(name))]
+            .into_iter()
+            .chain(job.map(|j| ("job", j.into())))
+            .chain((!tag.is_empty()).then(|| ("tag", tag.into())));
+        Json::obj(head.chain(rest)).to_string()
     }
 }
 
@@ -682,6 +661,18 @@ mod tests {
     }
 
     #[test]
+    fn seeds_above_2_pow_53_round_trip_exactly() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let mut req = JobRequest::new(JobKind::Campaign);
+            req.seed = seed;
+            match Request::parse(&req.to_line()).unwrap() {
+                Request::Job(parsed) => assert_eq!(parsed.seed, seed),
+                other => panic!("expected job, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn defaults_apply_for_sparse_requests() {
         let parsed = Request::parse("{\"type\":\"run\",\"kernel\":\"mcf\"}").unwrap();
         match parsed {
@@ -750,6 +741,14 @@ mod tests {
         // approximate: the parsed payload equals the original bit for bit.
         let parsed = ProgressStats::from_json(&v).expect("payload present");
         assert_eq!(parsed, stats);
+        // Integral rates render as floats; the integer form older servers
+        // sent still decodes to the same value.
+        assert!(line.contains("\"sdc_rate\":0.0,"), "{line}");
+        let old = line.replace("\"sdc_rate\":0.0,", "\"sdc_rate\":0,");
+        assert_eq!(
+            ProgressStats::from_json(&Json::parse(&old).unwrap()),
+            Some(stats)
+        );
     }
 
     #[test]
@@ -952,7 +951,7 @@ mod tests {
             job: 3,
             tag: "t".into(),
             store: StoreStatus::Hit,
-            result: "{\"cycles\":10}".into(),
+            result: Json::parse("{\"cycles\":10}").unwrap(),
         };
         assert_eq!(
             done.to_line(),
@@ -991,12 +990,12 @@ mod tests {
             },
             Event::ShuttingDown { tag: String::new() },
             Event::Stats {
-                body: "{\"queue_depth\":0}".into(),
+                body: Json::obj([("queue_depth", Json::from(0u64))]),
             },
         ] {
             let line = e.to_line();
             assert!(!line.contains('\n'));
-            assert!(crate::json::Json::parse(&line).is_ok(), "{line}");
+            assert!(Json::parse(&line).is_ok(), "{line}");
         }
     }
 }

@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use turnpike_metrics::{Counter, Hist, MetricSet};
 
 use crate::flight::FlightRecorder;
-use crate::json::escape;
+use crate::json::Json;
 use crate::poll::{poll, PollFd};
 use crate::proto::{
     Event, JobKind, JobRequest, LineReader, ProgressStats, Request, StoreStatus, WriteQueue,
@@ -105,7 +105,8 @@ impl Default for ServerConfig {
 /// What an [`Executor`] hands back for a finished job.
 #[derive(Debug, Clone)]
 pub struct ExecOutput {
-    /// Single-line JSON payload, embedded verbatim in the `done` event.
+    /// Compact JSON payload; the `done` event carries it as its `result`
+    /// value, byte for byte.
     pub result: String,
     /// Artifact-store disposition.
     pub store: StoreStatus,
@@ -342,33 +343,38 @@ impl Inner {
         self.waker.wake();
     }
 
-    /// Render the `stats` snapshot body with a fixed key order.
-    fn stats_body(&self) -> String {
+    /// The `stats` snapshot body, with a fixed key order.
+    fn stats_body(&self) -> Json {
         let m = self.metrics.lock().unwrap();
         let hist_q = |key, q| m.hist(key).map_or(0, |h| h.quantile(q).round() as u64);
-        format!(
-            "{{\"queue_depth\":{},\"queue_capacity\":{},\"workers\":{},\"shutting_down\":{},\
-             \"accepted\":{},\"rejected\":{},\"completed\":{},\"failed\":{},\"canceled\":{},\
-             \"store_hits\":{},\"store_misses\":{},\"store_quarantined\":{},\"queue_peak\":{},\
-             \"job_p50_us\":{},\"job_p99_us\":{},\"busy_us\":{},\"uptime_us\":{}}}",
-            self.queue.depth(),
-            self.queue.capacity(),
-            self.config.workers,
-            self.shutting_down.load(Ordering::SeqCst),
-            m.counter(Counter::ServeAccepted),
-            m.counter(Counter::ServeRejected),
-            m.counter(Counter::ServeCompleted),
-            m.counter(Counter::ServeFailed),
-            m.counter(Counter::ServeCanceled),
-            m.counter(Counter::ServeStoreHits),
-            m.counter(Counter::ServeStoreMisses),
-            m.counter(Counter::ServeStoreQuarantined),
-            m.counter(Counter::ServeQueuePeak),
-            hist_q(Hist::ServeJobMicros, 0.50),
-            hist_q(Hist::ServeJobMicros, 0.99),
-            m.counter(Counter::ServeBusyMicros),
-            self.started.elapsed().as_micros() as u64,
-        )
+        Json::obj([
+            ("queue_depth", self.queue.depth().into()),
+            ("queue_capacity", self.queue.capacity().into()),
+            ("workers", self.config.workers.into()),
+            (
+                "shutting_down",
+                self.shutting_down.load(Ordering::SeqCst).into(),
+            ),
+            ("accepted", m.counter(Counter::ServeAccepted).into()),
+            ("rejected", m.counter(Counter::ServeRejected).into()),
+            ("completed", m.counter(Counter::ServeCompleted).into()),
+            ("failed", m.counter(Counter::ServeFailed).into()),
+            ("canceled", m.counter(Counter::ServeCanceled).into()),
+            ("store_hits", m.counter(Counter::ServeStoreHits).into()),
+            ("store_misses", m.counter(Counter::ServeStoreMisses).into()),
+            (
+                "store_quarantined",
+                m.counter(Counter::ServeStoreQuarantined).into(),
+            ),
+            ("queue_peak", m.counter(Counter::ServeQueuePeak).into()),
+            ("job_p50_us", hist_q(Hist::ServeJobMicros, 0.50).into()),
+            ("job_p99_us", hist_q(Hist::ServeJobMicros, 0.99).into()),
+            ("busy_us", m.counter(Counter::ServeBusyMicros).into()),
+            (
+                "uptime_us",
+                (self.started.elapsed().as_micros() as u64).into(),
+            ),
+        ])
     }
 
     /// Record one flight event for `job`. A no-op unless flight recording
@@ -417,23 +423,22 @@ impl Inner {
             return;
         };
         let spans = self.spans.lock().unwrap();
-        let mut out = String::from("[");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"cat\":\"job\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{\"job\":{},\"store\":\"{}\"}}}}",
-                escape(&s.name),
-                s.start_us,
-                s.dur_us,
-                s.worker + 1,
-                s.job,
-                s.store,
-            ));
-        }
-        out.push_str("]\n");
+        let events = spans.iter().map(|s| {
+            Json::obj([
+                ("name", s.name.as_str().into()),
+                ("cat", "job".into()),
+                ("ph", "X".into()),
+                ("ts", s.start_us.into()),
+                ("dur", s.dur_us.into()),
+                ("pid", 1u64.into()),
+                ("tid", (s.worker + 1).into()),
+                (
+                    "args",
+                    Json::obj([("job", s.job.into()), ("store", s.store.into())]),
+                ),
+            ])
+        });
+        let out = format!("{}\n", Json::arr(events));
         let write = || -> std::io::Result<()> {
             if let Some(parent) = path.parent() {
                 if !parent.as_os_str().is_empty() {
@@ -817,10 +822,16 @@ fn worker_loop(inner: &Arc<Inner>, worker_idx: usize) {
                     .unwrap_or_else(|| "executor panicked".to_string());
                 Err(format!("executor panicked: {msg}"))
             });
+        // The payload rides the `done` line as a JSON value, so one that
+        // does not parse fails the job instead of corrupting the line.
+        let outcome = outcome.and_then(|out| match Json::parse(&out.result) {
+            Ok(result) => Ok((out, result)),
+            Err(e) => Err(format!("executor payload is not JSON: {e}")),
+        });
         let dur = start.elapsed();
         let canceled = job.cancel.load(Ordering::SeqCst);
         let (terminal, store_name, dump_flight) = match outcome {
-            Ok(out) => {
+            Ok((out, result)) => {
                 let name = out.store.name();
                 let mut m = inner.metrics.lock().unwrap();
                 m.inc(Counter::ServeCompleted);
@@ -851,7 +862,7 @@ fn worker_loop(inner: &Arc<Inner>, worker_idx: usize) {
                         job: job.id,
                         tag: job.req.tag.clone(),
                         store: out.store,
-                        result: out.result,
+                        result,
                     },
                     name,
                     out.quarantined > 0,

@@ -137,16 +137,23 @@ fn malformed_requests_get_error_events_without_killing_the_connection() {
     let (server, _exec) = start(ServerConfig::default(), MockExec::instant());
     use std::io::{BufRead, BufReader, Write};
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    stream.write_all(b"this is not json\n").unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"event\":\"error\""), "{line}");
-    // Same connection still serves valid requests.
-    stream.write_all(b"{\"type\":\"stats\"}\n").unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"event\":\"stats\""), "{line}");
+    // Plain garbage, and a 10 000-deep nesting (10 KB, far under the line
+    // cap) that would overflow the parsing thread's stack without the
+    // parser's depth limit.
+    let deep = "[".repeat(10_000) + "\n";
+    for bad in ["this is not json\n", deep.as_str()] {
+        stream.write_all(bad.as_bytes()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"event\":\"error\""), "{line}");
+        // Same connection still serves valid requests.
+        stream.write_all(b"{\"type\":\"stats\"}\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"event\":\"stats\""), "{line}");
+    }
     server.shutdown();
 }
 

@@ -1,7 +1,7 @@
 //! Simulation statistics.
 
 use crate::clq::ClqStats;
-use turnpike_metrics::Histogram;
+use turnpike_metrics::{Histogram, Json};
 
 /// The simulator's latency distributions, recorded when
 /// [`SimConfig::histograms`](crate::SimConfig::histograms) is on.
@@ -181,61 +181,61 @@ impl SimStats {
         m
     }
 
-    /// Render the run totals as one compact JSON object with a fixed key
-    /// order — the serialization the serving layer's artifact store persists
-    /// for `run` jobs. Key order is part of the schema: byte-identical
-    /// replay across processes is what makes store entries diffable against
-    /// freshly computed results. Latency histograms are intentionally
-    /// omitted; they live in the metrics registry, and the store payload is
-    /// the architectural result.
-    pub fn to_json(&self) -> String {
+    /// The run totals as one JSON object with a fixed key order — the
+    /// serialization the serving layer's artifact store persists for `run`
+    /// jobs (compact rendering). Key order is part of the schema:
+    /// byte-identical replay across processes is what makes store entries
+    /// diffable against freshly computed results. Latency histograms are
+    /// intentionally omitted; they live in the metrics registry, and the
+    /// store payload is the architectural result.
+    pub fn to_json(&self) -> Json {
         let (l1h, l1m, l2h, l2m) = self.cache;
-        format!(
-            "{{\"cycles\":{},\"insts\":{},\"ipc\":{:.6},\"stall_sb_full\":{},\
-             \"stall_data_hazard\":{},\"stall_ckpt_hazard\":{},\"stall_mem_port\":{},\
-             \"stall_rbb_full\":{},\"recovery_cycles\":{},\"loads\":{},\"stores\":{},\
-             \"ckpts\":{},\"war_free_released\":{},\"colored_released\":{},\
-             \"quarantined\":{},\"sb_coalesced\":{},\"sb_discarded\":{},\
-             \"boundaries\":{},\"detections\":{},\"parity_detections\":{},\
-             \"sensor_detections\":{},\"recoveries\":{},\"avg_region_insts\":{:.6},\
-             \"clq\":{{\"stores_checked\":{},\"war_free\":{},\"loads_recorded\":{},\
-             \"overflows\":{},\"peak_entries\":{}}},\
-             \"cache\":{{\"l1_hits\":{},\"l1_misses\":{},\"l2_hits\":{},\"l2_misses\":{}}},\
-             \"sb_peak\":{}}}",
-            self.cycles,
-            self.insts,
-            self.ipc(),
-            self.stall_sb_full,
-            self.stall_data_hazard,
-            self.stall_ckpt_hazard,
-            self.stall_mem_port,
-            self.stall_rbb_full,
-            self.recovery_cycles,
-            self.loads,
-            self.stores,
-            self.ckpts,
-            self.war_free_released,
-            self.colored_released,
-            self.quarantined,
-            self.sb_coalesced,
-            self.sb_discarded,
-            self.boundaries,
-            self.detections,
-            self.parity_detections,
-            self.sensor_detections,
-            self.recoveries,
-            self.avg_region_insts,
-            self.clq.stores_checked,
-            self.clq.war_free,
-            self.clq.loads_recorded,
-            self.clq.overflows,
-            self.clq.peak_entries,
-            l1h,
-            l1m,
-            l2h,
-            l2m,
-            self.sb_peak,
-        )
+        let clq = &self.clq;
+        Json::obj([
+            ("cycles", self.cycles.into()),
+            ("insts", self.insts.into()),
+            ("ipc", Json::fixed(self.ipc(), 6)),
+            ("stall_sb_full", self.stall_sb_full.into()),
+            ("stall_data_hazard", self.stall_data_hazard.into()),
+            ("stall_ckpt_hazard", self.stall_ckpt_hazard.into()),
+            ("stall_mem_port", self.stall_mem_port.into()),
+            ("stall_rbb_full", self.stall_rbb_full.into()),
+            ("recovery_cycles", self.recovery_cycles.into()),
+            ("loads", self.loads.into()),
+            ("stores", self.stores.into()),
+            ("ckpts", self.ckpts.into()),
+            ("war_free_released", self.war_free_released.into()),
+            ("colored_released", self.colored_released.into()),
+            ("quarantined", self.quarantined.into()),
+            ("sb_coalesced", self.sb_coalesced.into()),
+            ("sb_discarded", self.sb_discarded.into()),
+            ("boundaries", self.boundaries.into()),
+            ("detections", self.detections.into()),
+            ("parity_detections", self.parity_detections.into()),
+            ("sensor_detections", self.sensor_detections.into()),
+            ("recoveries", self.recoveries.into()),
+            ("avg_region_insts", Json::fixed(self.avg_region_insts, 6)),
+            (
+                "clq",
+                Json::obj([
+                    ("stores_checked", clq.stores_checked.into()),
+                    ("war_free", clq.war_free.into()),
+                    ("loads_recorded", clq.loads_recorded.into()),
+                    ("overflows", clq.overflows.into()),
+                    ("peak_entries", clq.peak_entries.into()),
+                ]),
+            ),
+            (
+                "cache",
+                Json::obj([
+                    ("l1_hits", l1h.into()),
+                    ("l1_misses", l1m.into()),
+                    ("l2_hits", l2h.into()),
+                    ("l2_misses", l2m.into()),
+                ]),
+            ),
+            ("sb_peak", self.sb_peak.into()),
+        ])
     }
 }
 
@@ -352,13 +352,13 @@ mod tests {
             cache: (7, 1, 1, 0),
             ..SimStats::default()
         };
-        let j = s.to_json();
+        let j = s.to_json().to_string();
         assert!(!j.contains('\n'), "artifact payloads are one line");
         assert!(j.starts_with("{\"cycles\":100,\"insts\":150,\"ipc\":1.500000,"));
         assert!(j.contains("\"clq\":{\"stores_checked\":0,"));
         assert!(j.contains("\"cache\":{\"l1_hits\":7,\"l1_misses\":1,"));
         assert!(j.ends_with("\"sb_peak\":0}"));
         // Byte-stable across calls: the store diffs entries byte-for-byte.
-        assert_eq!(j, s.to_json());
+        assert_eq!(j, s.to_json().to_string());
     }
 }

@@ -22,6 +22,8 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use turnpike_metrics::Json;
+
 /// Why the pipeline stalled (trace-visible mirror of the stall counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StallKind {
@@ -202,40 +204,45 @@ impl TraceEvent {
         }
     }
 
-    /// One-line JSON object for the event (the JSONL record schema):
-    /// always `cycle` first and `kind` second, then the variant's fields
-    /// in declaration order. All values are numbers, booleans, or fixed
-    /// enum names, so no string escaping is ever required.
-    pub fn to_json(&self) -> String {
-        let head = format!("{{\"cycle\":{},\"kind\":\"{}\"", self.cycle(), self.kind());
-        let rest = match *self {
-            TraceEvent::RegionStart { seq, .. } | TraceEvent::RegionVerified { seq, .. } => {
-                format!(",\"seq\":{seq}")
-            }
-            TraceEvent::WarFreeRelease { addr, .. } => format!(",\"addr\":{addr}"),
+    /// The event as one JSONL record (the schema; `Display` renders the
+    /// line): always `cycle` first and `kind` second, then the variant's
+    /// fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        let mut m: Vec<(&str, Json)> =
+            vec![("cycle", self.cycle().into()), ("kind", self.kind().into())];
+        match *self {
+            TraceEvent::RegionStart { seq, .. }
+            | TraceEvent::RegionVerified { seq, .. }
+            | TraceEvent::Quarantined { seq, .. }
+            | TraceEvent::SbRelease { seq, .. } => m.push(("seq", seq.into())),
+            TraceEvent::WarFreeRelease { addr, .. } => m.push(("addr", addr.into())),
             TraceEvent::ColoredRelease { reg, color, .. } => {
-                format!(",\"reg\":{reg},\"color\":{color}")
+                m.extend([("reg", reg.into()), ("color", color.into())]);
             }
-            TraceEvent::Quarantined { seq, .. } | TraceEvent::SbRelease { seq, .. } => {
-                format!(",\"seq\":{seq}")
-            }
-            TraceEvent::Strike { .. } | TraceEvent::Detection { .. } => String::new(),
+            TraceEvent::Strike { .. } | TraceEvent::Detection { .. } => {}
             TraceEvent::Recovery {
                 target_seq,
                 resume_pc,
                 ..
-            } => format!(",\"target_seq\":{target_seq},\"resume_pc\":{resume_pc}"),
+            } => m.extend([
+                ("target_seq", target_seq.into()),
+                ("resume_pc", resume_pc.into()),
+            ]),
             TraceEvent::SbOccupancy { entries, seq, .. } => {
-                format!(",\"entries\":{entries},\"seq\":{seq}")
+                m.extend([("entries", entries.into()), ("seq", seq.into())]);
             }
             TraceEvent::ClqCheck {
                 addr,
                 seq,
                 war_free,
                 ..
-            } => format!(",\"addr\":{addr},\"seq\":{seq},\"war_free\":{war_free}"),
+            } => m.extend([
+                ("addr", addr.into()),
+                ("seq", seq.into()),
+                ("war_free", war_free.into()),
+            ]),
             TraceEvent::CacheWriteback { addr, seq, .. } => {
-                format!(",\"addr\":{addr},\"seq\":{seq}")
+                m.extend([("addr", addr.into()), ("seq", seq.into())]);
             }
             TraceEvent::Stall {
                 pc,
@@ -243,12 +250,14 @@ impl TraceEvent {
                 kind,
                 cycles,
                 ..
-            } => format!(
-                ",\"pc\":{pc},\"seq\":{seq},\"stall\":\"{}\",\"cycles\":{cycles}",
-                kind.name()
-            ),
-        };
-        head + &rest + "}"
+            } => m.extend([
+                ("pc", pc.into()),
+                ("seq", seq.into()),
+                ("stall", kind.name().into()),
+                ("cycles", cycles.into()),
+            ]),
+        }
+        Json::obj(m)
     }
 }
 
@@ -718,7 +727,7 @@ mod tests {
     fn jsonl_schema_is_stable() {
         let mut kinds = std::collections::HashSet::new();
         for e in all_variants() {
-            let line = e.to_json();
+            let line = e.to_json().to_string();
             assert!(
                 line.starts_with(&format!("{{\"cycle\":{}", e.cycle())),
                 "{line}"
@@ -737,7 +746,8 @@ mod tests {
                 seq: 1,
                 war_free: true
             }
-            .to_json(),
+            .to_json()
+            .to_string(),
             "{\"cycle\":11,\"kind\":\"clq_check\",\"addr\":16,\"seq\":1,\"war_free\":true}"
         );
     }
