@@ -619,37 +619,37 @@ fn run_seed(seed: u64, run_index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The fault plan of one campaign run, a pure function of the campaign
-/// seed, the run index, and the fault-free horizon.
-fn plan_for_run(
-    config: &CampaignConfig,
-    spec: &RunSpec,
-    run_index: usize,
-    horizon: u64,
-) -> FaultPlan {
-    let s = run_seed(config.seed, run_index as u64);
-    let mut rng = StdRng::seed_from_u64(s);
-    let mut sampler = StrikeSampler::new(s ^ 0x5eed, spec.wcdl);
-    let mut faults = Vec::with_capacity(config.strikes_per_run);
-    for _ in 0..config.strikes_per_run {
-        let strike = sampler.sample(horizon);
-        let kind = if rng.gen_bool(0.5) {
-            FaultKind::RegisterParity {
-                reg: rng.gen_range(0..32),
-                bit: rng.gen_range(0..64),
-            }
-        } else {
-            FaultKind::Datapath {
-                bit: rng.gen_range(0..64),
-            }
-        };
-        faults.push(Fault {
-            strike_cycle: strike.cycle,
-            detect_latency: strike.detect_latency,
-            kind,
-        });
+impl CampaignConfig {
+    /// The fault plan of run `run_index` (a global index, `first_run`
+    /// included) of a campaign on `spec`, a pure function of the seed, the
+    /// run index and the fault-free `horizon` (the golden run's cycles, at
+    /// least 2). Public so a test can re-run any campaign run from scratch
+    /// and audit its verdict independently.
+    pub fn run_plan(&self, spec: &RunSpec, run_index: usize, horizon: u64) -> FaultPlan {
+        let s = run_seed(self.seed, run_index as u64);
+        let mut rng = StdRng::seed_from_u64(s);
+        let mut sampler = StrikeSampler::new(s ^ 0x5eed, spec.wcdl);
+        let mut faults = Vec::with_capacity(self.strikes_per_run);
+        for _ in 0..self.strikes_per_run {
+            let strike = sampler.sample(horizon);
+            let kind = if rng.gen_bool(0.5) {
+                FaultKind::RegisterParity {
+                    reg: rng.gen_range(0..32),
+                    bit: rng.gen_range(0..64),
+                }
+            } else {
+                FaultKind::Datapath {
+                    bit: rng.gen_range(0..64),
+                }
+            };
+            faults.push(Fault {
+                strike_cycle: strike.cycle,
+                detect_latency: strike.detect_latency,
+                kind,
+            });
+        }
+        FaultPlan::new(faults).with_watchdog(watchdog_for(horizon))
     }
-    FaultPlan::new(faults).with_watchdog(watchdog_for(horizon))
 }
 
 /// Watchdog cycle bound for injected runs: generous headroom over the
@@ -710,8 +710,14 @@ pub fn fault_campaign_hooked(
         None => (core.run(&FaultPlan::none())?, Vec::new()),
     };
     let golden = RunResult::assemble(&compiled, outcome);
-    let guide = (config.early_exit && !snapshots.is_empty())
-        .then(|| ReplayGuide::new(&snapshots, &golden.outcome.stats, golden.outcome.ret));
+    let guide = (config.early_exit && !snapshots.is_empty()).then(|| {
+        ReplayGuide::new(
+            &compiled.program,
+            &snapshots,
+            &golden.outcome.stats,
+            golden.outcome.ret,
+        )
+    });
     let horizon = golden.outcome.stats.cycles.max(2);
     // The target run count and the granularity at which results are folded
     // (and, for sequential stopping, at which stop decisions are taken).
@@ -741,7 +747,7 @@ pub fn fault_campaign_hooked(
         // `i` is the *global* run index (`first_run` included): the plan,
         // and with it the run's outcome, must be the one the unsharded
         // campaign would compute at this index.
-        let plan = plan_for_run(config, spec, i, horizon);
+        let plan = config.run_plan(spec, i, horizon);
         // Fork from the latest snapshot strictly before the run's earliest
         // strike (snapshots are in capture order, i.e. ascending cycles):
         // every strike then lands strictly after the fork point, which is
@@ -825,8 +831,10 @@ pub fn fault_campaign_hooked(
 
 /// Whether a finished strike run silently corrupted its result. An
 /// early-exited run proved its final state equals the golden run's (that
-/// is what the convergence check establishes), so its empty memory maps
-/// must not be mistaken for a wiped memory.
+/// is what the convergence check establishes), so its empty memories
+/// must not be mistaken for a wiped memory. Memories compare by content
+/// ([`PagedMem::content_eq`](turnpike_sim::PagedMem::content_eq)), skipping
+/// the pages a forked run still shares with the golden run.
 fn is_sdc(run: &SimOutcome, golden: &SimOutcome) -> bool {
     run.replay_saved.is_none() && (run.ret != golden.ret || run.memory != golden.memory)
 }

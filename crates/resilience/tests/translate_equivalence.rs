@@ -179,7 +179,7 @@ proptest! {
         let run = |translate: bool| -> Result<SimOutcome, SimError> {
             let (golden, snaps) = core(&spec, &compiled, translate)
                 .run_collecting_snapshots(&FaultPlan::none(), interval)?;
-            let guide = ReplayGuide::new(&snaps, &golden.stats, golden.ret);
+            let guide = ReplayGuide::new(&compiled.program, &snaps, &golden.stats, golden.ret);
             let horizon = golden.stats.cycles;
             let cycle = 1 + horizon * permille / 1000;
             let plan = one_strike(&spec, cycle, fault, horizon);

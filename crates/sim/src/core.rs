@@ -31,7 +31,6 @@ use crate::store_buffer::{EntryKind, SbEntry, StoreBuffer};
 use crate::trace::{StallKind, TraceEvent, TraceSink};
 use crate::translate::{DAddr, DKind, DOperand, Translation};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use turnpike_isa::{
@@ -79,16 +78,20 @@ impl std::error::Error for SimError {}
 pub struct SimOutcome {
     /// Program return value.
     pub ret: Option<i64>,
-    /// Final architectural data memory (SB fully drained).
-    pub memory: BTreeMap<u64, i64>,
-    /// Final checkpoint storage (colored slots included).
-    pub ckpt_memory: BTreeMap<u64, i64>,
+    /// Final architectural data memory (SB fully drained), handed over as
+    /// the run left it: pages a forked run never wrote are still shared
+    /// with its snapshot, so comparing it with the golden run's memory
+    /// skips them. [`PagedMem::to_btree`] gives the `BTreeMap` view.
+    pub memory: PagedMem,
+    /// Final checkpoint storage (colored slots included), held like
+    /// [`SimOutcome::memory`].
+    pub ckpt_memory: PagedMem,
     /// Statistics.
     pub stats: SimStats,
     /// `Some(saved)` when the run exited early through [`ReplayGuide`]
     /// convergence, skipping `saved` simulated cycles. An early-exited
     /// outcome carries the golden run's return value, fully synthesized
-    /// stats, and **empty** memory maps — the convergence proof already
+    /// stats, and **empty** memories — the convergence proof already
     /// established that the final memories equal the golden run's, so they
     /// are not rematerialized.
     pub replay_saved: Option<u64>,
@@ -216,72 +219,154 @@ pub struct ReplayCensus {
 /// everything a run needs to recognize that its state has *reconverged*
 /// with the fault-free golden run and stop simulating. Holds the golden
 /// run's snapshots (the compare targets), its final stats (the synthesis
-/// deltas), and its return value, plus a dense PC index over the snapshots,
-/// a per-PC "probe here" table (both dispatch loops test it at the top of
-/// every instruction, so a PC with no candidates costs one load), and the
-/// program's live-in register masks (see [`Core::attach_replay`] for why
-/// only live registers are compared).
+/// deltas), and its return value, plus the program's live-in register
+/// masks (see [`Core::attach_replay`] for why only live registers are
+/// compared) and an index of the snapshots by capture PC and by a
+/// fingerprint of a few live registers (see `PcProbe`).
 ///
 /// Built once per campaign from the golden run's artifacts and shared
-/// read-only across every strike run (it is `Sync`: the live table is
-/// built once, by whichever run probes first).
+/// read-only across every strike run (it is `Sync`).
 #[derive(Debug)]
 pub struct ReplayGuide<'g> {
     snapshots: &'g [CoreSnapshot],
     golden_stats: &'g SimStats,
     golden_ret: Option<i64>,
-    /// Snapshot indices by capture PC, each list ascending in cycle.
-    by_pc: Vec<Vec<u32>>,
-    /// `probe[pc]`: `by_pc[pc]` is non-empty.
-    probe: Vec<bool>,
     /// [`MachProgram::live_in`] of the guided program.
-    live_in: std::sync::OnceLock<Vec<u32>>,
+    live_in: Vec<u32>,
+    /// How a probe at each PC fingerprints its state. Both dispatch loops
+    /// test it at the top of every instruction, so a PC with no snapshot
+    /// costs one load.
+    probes: Vec<PcProbe>,
+    /// `(pc, fingerprint, snapshot index)` of every indexed snapshot,
+    /// sorted: the snapshots sharing a PC and fingerprint are adjacent and
+    /// ascend in cycle.
+    index: Box<[(u32, u64, u32)]>,
+}
+
+/// Live registers per PC a [`PcProbe`] fingerprint hashes.
+const KEY_REGS: usize = 2;
+
+/// The early-exit probe of one PC. A probe fingerprints its state by up to
+/// [`KEY_REGS`] registers live at the PC, chosen as the ones whose values
+/// vary most across the golden snapshots (loop counters and pointers tell
+/// loop iterations apart). A snapshot whose live registers equal the
+/// probing state's has equal key registers, so an equal fingerprint: the
+/// probe looks only among those, and the usual probe — another loop
+/// iteration — stops at the Bloom filter.
+#[derive(Debug, Clone, Copy, Default)]
+struct PcProbe {
+    /// Bit `fingerprint >> 58` is set for every indexed snapshot captured
+    /// at this PC; 0 when there is none, and no probe happens here.
+    bloom: u64,
+    /// The key registers.
+    regs: [u8; KEY_REGS],
+    /// Their odd hash multipliers; 0 for an unused slot, so it adds nothing.
+    mults: [u64; KEY_REGS],
+}
+
+impl PcProbe {
+    /// A hash of `pc` and of the key registers' values in `regs` (a sum of
+    /// products: the high bits, which the Bloom filter reads, depend on
+    /// every input bit).
+    #[inline(always)]
+    fn fingerprint(&self, pc: u64, regs: &[i64; NUM_PHYS_REGS as usize]) -> u64 {
+        let mut h = pc.wrapping_mul(0x94D0_49BB_1331_11EB);
+        for k in 0..KEY_REGS {
+            h = h.wrapping_add((regs[self.regs[k] as usize] as u64).wrapping_mul(self.mults[k]));
+        }
+        h
+    }
+
+    #[inline(always)]
+    fn bloom_bit(fingerprint: u64) -> u64 {
+        1 << (fingerprint >> 58)
+    }
 }
 
 impl<'g> ReplayGuide<'g> {
     /// Index `snapshots` (from the golden
-    /// [`Core::run_collecting_snapshots`] run) for early-exit probing.
-    /// `golden_stats`/`golden_ret` come from the same run's outcome.
-    /// Snapshots that are not quiet (a pending detection or a corruption
-    /// flag — possible only when the collecting run had strikes) are never
-    /// compare targets.
+    /// [`Core::run_collecting_snapshots`] run of `program`) for early-exit
+    /// probing. `golden_stats`/`golden_ret` come from the same run's
+    /// outcome. Snapshots that are not quiet (a pending detection or a
+    /// corruption flag — possible only when the collecting run had strikes)
+    /// are never compare targets. Every core the guide is attached to must
+    /// run `program`.
     pub fn new(
+        program: &MachProgram,
         snapshots: &'g [CoreSnapshot],
         golden_stats: &'g SimStats,
         golden_ret: Option<i64>,
     ) -> Self {
         const NO_FLAGS: [bool; NUM_PHYS_REGS as usize] = [false; NUM_PHYS_REGS as usize];
-        let len = snapshots
-            .iter()
-            .map(|s| s.pc as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut by_pc = vec![Vec::new(); len];
-        for (i, s) in snapshots.iter().enumerate() {
-            debug_assert!(i == 0 || snapshots[i - 1].cycle <= s.cycle, "capture order");
-            let quiet = s.pending_detect.is_empty()
+        const MULTS: [u64; KEY_REGS] = [0x9E37_79B9_7F4A_7C15, 0xBF58_476D_1CE4_E5B9];
+        let live_in = program.live_in();
+        let quiet = |s: &&CoreSnapshot| {
+            s.pending_detect.is_empty()
                 && s.pending_datapath.is_none()
                 && s.parity_bad == NO_FLAGS
-                && s.tainted == NO_FLAGS;
-            if quiet {
-                by_pc[s.pc as usize].push(i as u32);
+                && s.tainted == NO_FLAGS
+        };
+        // Registers by how many distinct values they hold across the
+        // indexed snapshots, most first (ties: lower register first).
+        let distinct = |r: usize| {
+            let mut v: Vec<i64> = snapshots.iter().filter(quiet).map(|s| s.regs[r]).collect();
+            v.sort_unstable();
+            v.dedup();
+            std::cmp::Reverse(v.len())
+        };
+        let mut rank: Vec<usize> = (0..NUM_PHYS_REGS as usize).collect();
+        rank.sort_by_cached_key(|&r| distinct(r));
+        let mut probes = vec![PcProbe::default(); live_in.len()];
+        let mut indexed = Vec::new();
+        for (i, s) in snapshots.iter().enumerate() {
+            debug_assert!(i == 0 || snapshots[i - 1].cycle <= s.cycle, "capture order");
+            if !quiet(&s) {
+                continue;
             }
+            let pc = s.pc as usize;
+            let probe = &mut probes[pc];
+            if probe.bloom == 0 {
+                let live = rank.iter().filter(|&&r| live_in[pc] & (1 << r) != 0);
+                for (k, &r) in live.take(KEY_REGS).enumerate() {
+                    probe.regs[k] = r as u8;
+                    probe.mults[k] = MULTS[k];
+                }
+            }
+            let fp = probe.fingerprint(s.pc, &s.regs);
+            probe.bloom |= PcProbe::bloom_bit(fp);
+            indexed.push((s.pc as u32, fp, i as u32));
         }
-        let probe = by_pc.iter().map(|c| !c.is_empty()).collect();
+        indexed.sort_unstable();
         ReplayGuide {
             snapshots,
             golden_stats,
             golden_ret,
-            by_pc,
-            probe,
-            live_in: std::sync::OnceLock::new(),
+            live_in,
+            probes,
+            index: indexed.into(),
         }
     }
 
     /// Whether some indexed snapshot was captured at `pc`.
     #[inline(always)]
     fn probes_at(&self, pc: u64) -> bool {
-        self.probe.get(pc as usize).copied().unwrap_or(false)
+        self.probes.get(pc as usize).is_some_and(|p| p.bloom != 0)
+    }
+
+    /// The index entries of the snapshots captured at `pc` (a PC
+    /// [`ReplayGuide::probes_at`] accepts) whose fingerprint is that of
+    /// `regs`, ascending in cycle.
+    #[inline(always)]
+    fn candidates(&self, pc: u64, regs: &[i64; NUM_PHYS_REGS as usize]) -> &[(u32, u64, u32)] {
+        let probe = &self.probes[pc as usize];
+        let fp = probe.fingerprint(pc, regs);
+        if probe.bloom & PcProbe::bloom_bit(fp) == 0 {
+            return &[];
+        }
+        let key = (pc as u32, fp);
+        let from = self.index.partition_point(|&(p, f, _)| (p, f) < key);
+        let len = self.index[from..].partition_point(|&(p, f, _)| (p, f) == key);
+        &self.index[from..from + len]
     }
 }
 
@@ -641,9 +726,8 @@ impl<'a> Core<'a> {
     /// registers. Register *readiness* is still compared for every
     /// register, as is every other component of the state.
     ///
-    /// The guide's live table is built from this core's program on first
-    /// use; every core probing one guide must run the program its
-    /// snapshots came from.
+    /// The guide's live table comes from the program it was built for;
+    /// every core probing one guide must run that program.
     pub fn attach_replay(&mut self, guide: &'a ReplayGuide<'a>) {
         self.replay = Some((guide, REPLAY_BUDGET));
         self.census.never_matched = true;
@@ -791,8 +875,11 @@ impl<'a> Core<'a> {
     fn prologue<const QUIET: bool>(&mut self) -> Result<Option<SimOutcome>, SimError> {
         if let Some((guide, _)) = self.replay {
             if guide.probes_at(self.pc) && (QUIET || self.fast_path_quiet()) {
-                if let Some(out) = self.try_replay_exit() {
-                    return Ok(Some(out));
+                let cands = guide.candidates(self.pc, &self.regs);
+                if !cands.is_empty() {
+                    if let Some(out) = self.try_replay_exit(guide, cands) {
+                        return Ok(Some(out));
+                    }
                 }
             }
         }
@@ -882,31 +969,33 @@ impl<'a> Core<'a> {
             .clone()
     }
 
-    /// Probe the replay guide's snapshots at the current PC for a provable
-    /// reconvergence with the golden run; on success, return the fully
-    /// synthesized outcome. Failed deep compares and synthesis refusals
-    /// are counted in the census by reason and burn [`REPLAY_BUDGET`];
-    /// exhaustion drops the guide permanently.
-    fn try_replay_exit(&mut self) -> Option<SimOutcome> {
+    /// Probe the replay guide's snapshots `cands` (captured at the current
+    /// PC, with this state's fingerprint) for a provable reconvergence with
+    /// the golden run; on success, return the fully synthesized outcome.
+    /// Failed deep compares and synthesis refusals are counted in the
+    /// census by reason and burn [`REPLAY_BUDGET`]; exhaustion drops the
+    /// guide permanently.
+    ///
+    /// Every snapshot at this PC whose live registers equal this state's
+    /// is in `cands`, in the same ascending-cycle order as the PC's full
+    /// list, so the candidates that pass the exact check and reach the
+    /// deep compare, and their order, are exactly a full scan's.
+    #[inline(never)]
+    fn try_replay_exit(
+        &mut self,
+        guide: &ReplayGuide<'_>,
+        cands: &[(u32, u64, u32)],
+    ) -> Option<SimOutcome> {
         debug_assert!(self.fast_path_quiet());
-        let (guide, _) = self.replay?;
-        let pc = self.pc as usize;
-        let cands = guide.by_pc.get(pc)?;
-        let live = guide.live_in.get_or_init(|| self.program.live_in());
-        debug_assert_eq!(
-            live.len(),
-            self.program.insts.len(),
-            "guide/program mismatch"
-        );
-        let live = *live.get(pc)?;
-        for &i in cands {
+        let live = guide.live_in[self.pc as usize];
+        for &(_, _, i) in cands {
             let snap = &guide.snapshots[i as usize];
             // Candidates ascend in cycle: the rest lie in this run's future.
             if snap.cycle > self.cycle {
                 break;
             }
-            // Cheap prefilter: almost every visit to a snapshotted PC is a
-            // different loop iteration, and the live registers say so.
+            // Exact check: the key registers match, the other live ones
+            // may not (or the fingerprints merely collide).
             if !self.live_regs_match(&snap.regs, live) {
                 continue;
             }
@@ -1135,8 +1224,8 @@ impl<'a> Core<'a> {
         };
         Ok(SimOutcome {
             ret: guide.golden_ret,
-            memory: BTreeMap::new(),
-            ckpt_memory: BTreeMap::new(),
+            memory: PagedMem::new(),
+            ckpt_memory: PagedMem::new(),
             stats,
             replay_saved: Some(cycles - self.cycle),
             replay_census: self.census,
@@ -2079,8 +2168,8 @@ impl<'a> Core<'a> {
         self.stats.hists = self.hists.take();
         Ok(SimOutcome {
             ret,
-            memory: self.memory.to_btree(),
-            ckpt_memory: self.ckpt_memory.to_btree(),
+            memory: std::mem::take(&mut self.memory),
+            ckpt_memory: std::mem::take(&mut self.ckpt_memory),
             stats: std::mem::take(&mut self.stats),
             replay_saved: None,
             replay_census: self.census,
@@ -2191,7 +2280,7 @@ mod tests {
             .run(&FaultPlan::none())
             .unwrap();
         assert_eq!(out.ret, golden.ret);
-        assert_eq!(out.memory, golden.memory);
+        assert_eq!(out.memory.to_btree(), golden.memory);
         assert!(out.stats.cycles > 0);
         assert!(out.stats.ipc() > 0.1);
     }
@@ -2391,7 +2480,7 @@ mod tests {
         let (golden, snaps) = Core::new(&p, SimConfig::turnpike(4, 10))
             .run_collecting_snapshots(&FaultPlan::none(), 4)
             .unwrap();
-        let guide = ReplayGuide::new(&snaps, &golden.stats, golden.ret);
+        let guide = ReplayGuide::new(&p, &snaps, &golden.stats, golden.ret);
         let live = p.live_in();
         let snap = snaps
             .iter()
@@ -2450,6 +2539,6 @@ mod tests {
             .run(&FaultPlan::none())
             .unwrap();
         assert_eq!(out.ret, Some(42));
-        assert_eq!(out.memory.get(&0x1000), Some(&42));
+        assert_eq!(out.memory.get(0x1000), Some(42));
     }
 }

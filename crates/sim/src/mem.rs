@@ -10,70 +10,69 @@
 //!   kernels touch a handful of pages (the data segment near its base and
 //!   one page of checkpoint slots at `CKPT_BASE`), so the directory stays
 //!   tiny;
-//! * a **presence bitmap** per page preserves the map's untouched-word
-//!   semantics exactly: a load of a never-written address still reads 0 via
+//! * **word-dense pages**: a page spans 512 byte addresses but every
+//!   access the programs make is 8-byte aligned, so it stores only its 64
+//!   aligned words inline — a `u64` presence mask and `[i64; 64]`, about
+//!   520 bytes, instead of a slot per byte address. Unaligned addresses
+//!   (reachable only when a strike flips low address bits) live in an exact
+//!   per-memory overflow map, so every address still keeps its own value;
+//! * the **presence mask** preserves the map's untouched-word semantics
+//!   exactly: a load of a never-written address still reads 0 via
 //!   `get(..) == None`, and [`PagedMem::to_btree`] reconstructs the
-//!   `BTreeMap` view of [`SimOutcome`](crate::SimOutcome) byte-identically
-//!   (only addresses ever inserted appear, in sorted order);
+//!   `BTreeMap` view byte-identically (only addresses ever inserted, pages
+//!   and overflow alike, appear, in sorted order);
 //! * pages live behind [`Arc`], so cloning a `PagedMem` is O(pages) pointer
 //!   copies — the copy-on-write substrate of the core's snapshot/fork API
 //!   ([`Core::run_collecting_snapshots`](crate::Core::run_collecting_snapshots)).
 //!   Writes after a clone go through [`Arc::make_mut`], copying only the
-//!   written page.
+//!   written page. A finished run hands its memories to
+//!   [`SimOutcome`](crate::SimOutcome) as they are, so comparing a strike
+//!   run's final memory with the golden run's ([`PagedMem::content_eq`])
+//!   skips every page the two still share.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// log2 of the address span of one page. A page covers `1 << PAGE_SHIFT`
-/// *byte addresses* (the functional maps key on exact `u64` addresses, so
-/// presence is tracked per address, not per 8-byte word): 512 addresses,
-/// 4 KiB of word storage plus a 64-byte presence bitmap.
+/// log2 of the byte-address span of one page: 512 addresses, 64 aligned
+/// words.
 const PAGE_SHIFT: u32 = 9;
-/// Addressable slots per page.
-const PAGE_SLOTS: usize = 1 << PAGE_SHIFT;
-/// Low-bits mask selecting the slot within a page.
-const PAGE_MASK: u64 = (PAGE_SLOTS as u64) - 1;
+/// Aligned words per page.
+const PAGE_WORDS: usize = 1 << (PAGE_SHIFT - 3);
 
-/// One fixed-size page: a flat word array and the presence bitmap telling
-/// written slots apart from the implicit-zero background.
-#[derive(Debug, Clone)]
+/// One fixed-size page of aligned words and the presence mask telling
+/// written words apart from the implicit-zero background. A word whose bit
+/// is clear is always 0 (nothing removes a word), so derived equality is
+/// content equality.
+#[derive(Clone, PartialEq, Eq)]
 struct Page {
-    /// One bit per slot; set once the slot has been inserted.
-    present: [u64; PAGE_SLOTS / 64],
-    /// Word storage, indexed by `addr & PAGE_MASK`.
-    words: Box<[i64; PAGE_SLOTS]>,
+    /// Bit `w` is set once word `w` has been inserted.
+    present: u64,
+    /// Word storage, indexed by `(addr >> 3) % PAGE_WORDS`.
+    words: [i64; PAGE_WORDS],
 }
 
-impl Page {
-    fn new() -> Self {
-        Page {
-            present: [0; PAGE_SLOTS / 64],
-            words: Box::new([0; PAGE_SLOTS]),
-        }
-    }
-
-    #[inline]
-    fn is_present(&self, slot: usize) -> bool {
-        self.present[slot / 64] & (1 << (slot % 64)) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, slot: usize, value: i64) {
-        self.present[slot / 64] |= 1 << (slot % 64);
-        self.words[slot] = value;
-    }
+/// The `(page index, word)` an aligned address lives at, or `None` for an
+/// unaligned one (kept in the overflow map).
+#[inline(always)]
+fn locate(addr: u64) -> Option<(u64, usize)> {
+    (addr & 7 == 0).then_some((addr >> PAGE_SHIFT, (addr >> 3) as usize % PAGE_WORDS))
 }
 
-/// Sparse flat memory: a sorted directory of copy-on-write pages.
+/// Sparse flat memory: a sorted directory of copy-on-write pages plus an
+/// exact map for unaligned addresses.
 ///
 /// Drop-in replacement for the simulator's former `BTreeMap<u64, i64>`
 /// functional memories with identical observable semantics (see the module
-/// docs) and O(1) in-page access.
-#[derive(Debug, Default)]
+/// docs) and O(1) in-page access. Equality is [`PagedMem::content_eq`], and
+/// `Debug` prints the [`PagedMem::to_btree`] view.
+#[derive(Default)]
 pub struct PagedMem {
-    /// `(page_index, page)` sorted by page index.
+    /// `(page_index, page)` sorted by page index. Only `insert` creates a
+    /// page, so every page holds at least one word.
     pages: Vec<(u64, Arc<Page>)>,
+    /// Values at unaligned addresses.
+    overflow: BTreeMap<u64, i64>,
     /// Directory position of the most recently accessed page — a one-entry
     /// TLB for the accessor fast paths. Relaxed atomic (not `Cell`) purely
     /// so shared snapshots stay `Sync`; it is a performance hint with no
@@ -85,8 +84,23 @@ impl Clone for PagedMem {
     fn clone(&self) -> Self {
         PagedMem {
             pages: self.pages.clone(),
+            overflow: self.overflow.clone(),
             hot: AtomicUsize::new(self.hot.load(Ordering::Relaxed)),
         }
+    }
+}
+
+impl PartialEq for PagedMem {
+    fn eq(&self, other: &Self) -> bool {
+        self.content_eq(other)
+    }
+}
+
+impl Eq for PagedMem {}
+
+impl std::fmt::Debug for PagedMem {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.to_btree()).finish()
     }
 }
 
@@ -114,38 +128,40 @@ impl PagedMem {
     /// The value at `addr`, or `None` if the address was never inserted.
     #[inline]
     pub fn get(&self, addr: u64) -> Option<i64> {
-        let (idx, slot) = (addr >> PAGE_SHIFT, (addr & PAGE_MASK) as usize);
-        let i = self.find(idx).ok()?;
-        let page = &self.pages[i].1;
-        page.is_present(slot).then(|| page.words[slot])
+        let Some((idx, w)) = locate(addr) else {
+            return self.overflow.get(&addr).copied();
+        };
+        let page = &self.pages[self.find(idx).ok()?].1;
+        (page.present & (1 << w) != 0).then(|| page.words[w])
     }
 
     /// Insert (or overwrite) the word at `addr`. Copies the page first if
     /// it is shared with a snapshot (copy-on-write).
     #[inline]
     pub fn insert(&mut self, addr: u64, value: i64) {
-        let (idx, slot) = (addr >> PAGE_SHIFT, (addr & PAGE_MASK) as usize);
-        match self.find(idx) {
-            Ok(i) => Arc::make_mut(&mut self.pages[i].1).set(slot, value),
+        let Some((idx, w)) = locate(addr) else {
+            self.overflow.insert(addr, value);
+            return;
+        };
+        let page = match self.find(idx) {
+            Ok(i) => Arc::make_mut(&mut self.pages[i].1),
             Err(i) => {
-                let mut page = Page::new();
-                page.set(slot, value);
-                self.pages.insert(i, (idx, Arc::new(page)));
+                let blank = Page {
+                    present: 0,
+                    words: [0; PAGE_WORDS],
+                };
+                self.pages.insert(i, (idx, Arc::new(blank)));
+                Arc::get_mut(&mut self.pages[i].1).expect("a fresh page is unshared")
             }
-        }
+        };
+        page.present |= 1 << w;
+        page.words[w] = value;
     }
 
     /// Number of inserted addresses.
     pub fn len(&self) -> usize {
-        self.pages
-            .iter()
-            .map(|(_, p)| {
-                p.present
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum::<usize>()
-            })
-            .sum()
+        let words: u32 = self.pages.iter().map(|(_, p)| p.present.count_ones()).sum();
+        words as usize + self.overflow.len()
     }
 
     /// Whether no address was ever inserted.
@@ -155,70 +171,28 @@ impl PagedMem {
 
     /// Whether `self` and `other` hold identical content: the same set of
     /// inserted addresses, each with an equal value. Pages shared through
-    /// the copy-on-write ancestry compare by pointer; a page present in
-    /// only one directory matches only if it is all-absent (which never
-    /// arises in practice — pages are created by `insert` — but keeps the
-    /// predicate exact).
+    /// the copy-on-write ancestry compare by pointer.
     pub fn content_eq(&self, other: &PagedMem) -> bool {
-        fn blank(page: &Page) -> bool {
-            page.present.iter().all(|&w| w == 0)
-        }
-        let (mut a, mut b) = (self.pages.iter().peekable(), other.pages.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (None, None) => return true,
-                (Some((_, p)), None) => {
-                    if !blank(p) {
-                        return false;
-                    }
-                    a.next();
-                }
-                (None, Some((_, p))) => {
-                    if !blank(p) {
-                        return false;
-                    }
-                    b.next();
-                }
-                (Some((ia, pa)), Some((ib, pb))) => {
-                    if ia < ib {
-                        if !blank(pa) {
-                            return false;
-                        }
-                        a.next();
-                    } else if ib < ia {
-                        if !blank(pb) {
-                            return false;
-                        }
-                        b.next();
-                    } else {
-                        if !Arc::ptr_eq(pa, pb) {
-                            if pa.present != pb.present {
-                                return false;
-                            }
-                            for slot in 0..PAGE_SLOTS {
-                                if pa.is_present(slot) && pa.words[slot] != pb.words[slot] {
-                                    return false;
-                                }
-                            }
-                        }
-                        a.next();
-                        b.next();
-                    }
-                }
-            }
-        }
+        self.overflow == other.overflow
+            && self.pages.len() == other.pages.len()
+            && self
+                .pages
+                .iter()
+                .zip(&other.pages)
+                .all(|((ia, pa), (ib, pb))| ia == ib && (Arc::ptr_eq(pa, pb) || pa == pb))
     }
 
     /// The `BTreeMap` view: every inserted `(addr, value)` pair in address
     /// order — byte-identical to what the former map-backed memory held.
     pub fn to_btree(&self) -> BTreeMap<u64, i64> {
-        let mut out = BTreeMap::new();
+        let mut out = self.overflow.clone();
         for (idx, page) in &self.pages {
             let base = idx << PAGE_SHIFT;
-            for slot in 0..PAGE_SLOTS {
-                if page.is_present(slot) {
-                    out.insert(base + slot as u64, page.words[slot]);
-                }
+            let mut present = page.present;
+            while present != 0 {
+                let w = present.trailing_zeros() as usize;
+                out.insert(base + 8 * w as u64, page.words[w]);
+                present &= present - 1;
             }
         }
         out

@@ -5,9 +5,11 @@
 //! of never-inserted addresses return `None` (even next to written slots),
 //! inserted zeros are distinct from untouched words, and checkpoints
 //! (clones) freeze the state they were taken from while later writes go
-//! copy-on-write. Address generation is biased toward page boundaries
-//! (the page span is 512 addresses, so 0x1ff/0x200 sit on adjacent pages)
-//! where the directory and slot arithmetic are easiest to get wrong.
+//! copy-on-write in both directions. Address generation is biased toward
+//! page boundaries (the page span is 512 addresses, so 0x1ff/0x200 sit on
+//! adjacent pages) where the directory and slot arithmetic are easiest to
+//! get wrong, and mixes aligned words (stored in the pages) with unaligned
+//! addresses (kept in the overflow map) up to `u64::MAX`.
 
 use std::collections::BTreeMap;
 
@@ -22,6 +24,9 @@ enum Op {
     /// Clone the memory (the substrate of the core's snapshots) and keep
     /// the pair for an end-of-run comparison against the model's clone.
     Checkpoint,
+    /// Write into an earlier checkpoint (the `n % len`-th): a forked run
+    /// writing its copy, which must not reach the memory it came from.
+    StoreToCheckpoint(usize, u64, i64),
 }
 
 /// Addresses concentrated where bugs live: around page boundaries
@@ -33,6 +38,8 @@ fn addr_strategy() -> impl Strategy<Value = u64> {
         (0u64..8, 0u64..5).prop_map(|(page, off)| page * 0x200 + 0x1fe + off),
         // Anywhere in the first two pages (same-page traffic).
         0u64..0x400,
+        // Aligned words of the first two pages.
+        (0u64..0x80).prop_map(|w| w * 8),
         // A distant page, exercising directory insertion order.
         prop_oneof![Just(0x8000_0000u64), Just(u64::MAX), Just(u64::MAX - 1)],
         // Unconstrained.
@@ -50,6 +57,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (addr_strategy(), any::<i64>()).prop_map(|(a, v)| Op::Store(a, v)),
         (addr_strategy(), any::<i64>()).prop_map(|(a, v)| Op::Store(a, v)),
         Just(Op::Checkpoint),
+        (0usize..64, addr_strategy(), any::<i64>())
+            .prop_map(|(n, a, v)| Op::StoreToCheckpoint(n, a, v)),
     ]
 }
 
@@ -74,6 +83,14 @@ proptest! {
                 Op::Checkpoint => {
                     checkpoints.push((mem.clone(), model.clone()));
                 }
+                Op::StoreToCheckpoint(n, addr, value) => {
+                    if !checkpoints.is_empty() {
+                        let k = n % checkpoints.len();
+                        let (snap, snap_model) = &mut checkpoints[k];
+                        snap.insert(addr, value);
+                        snap_model.insert(addr, value);
+                    }
+                }
             }
         }
         prop_assert_eq!(mem.len(), model.len());
@@ -83,8 +100,20 @@ proptest! {
         // each checkpoint must replay its model snapshot exactly.
         for (snap, snap_model) in &checkpoints {
             prop_assert_eq!(snap.to_btree(), snap_model.clone());
+            prop_assert_eq!(snap.len(), snap_model.len());
             for &addr in snap_model.keys() {
                 prop_assert_eq!(snap.get(addr), snap_model.get(&addr).copied());
+            }
+        }
+        // `content_eq` is map equality, whether pages are shared (clones)
+        // or not (a memory rebuilt from the model shares nothing).
+        let mut all: Vec<(PagedMem, BTreeMap<u64, i64>)> = checkpoints;
+        all.push((model.iter().map(|(&a, &v)| (a, v)).collect(), model.clone()));
+        all.push((mem, model));
+        for (a, model_a) in &all {
+            for (b, model_b) in &all {
+                prop_assert_eq!(a.content_eq(b), model_a == model_b);
+                prop_assert_eq!(a == b, model_a == model_b);
             }
         }
     }

@@ -10,8 +10,12 @@
 
 use turnpike::compiler::compile;
 use turnpike::isa::{MachInst, MachProgram};
-use turnpike::resilience::{fault_campaign_hooked, CampaignConfig, CampaignHook, RunSpec, Scheme};
-use turnpike::sim::{Core, CoreSnapshot, Fault, FaultKind, FaultPlan, ReplayGuide, SimOutcome};
+use turnpike::resilience::{
+    fault_campaign_hooked, CampaignConfig, CampaignHook, ForkStats, RunSpec, Scheme,
+};
+use turnpike::sim::{
+    Core, CoreSnapshot, Fault, FaultKind, FaultPlan, Refusal, ReplayGuide, SimOutcome,
+};
 use turnpike::workloads::{all_kernels, kernel_by_name, Scale, Suite};
 
 /// Snapshot cadence of the golden run (the ladder's default).
@@ -50,7 +54,7 @@ fn strike_into_an_unread_register_exits_early_with_the_full_outcome() {
         let (golden, snaps) = Core::new(&program, sc.clone())
             .run_collecting_snapshots(&FaultPlan::none(), INTERVAL)
             .unwrap();
-        let guide = ReplayGuide::new(&snaps, &golden.stats, golden.ret);
+        let guide = ReplayGuide::new(&program, &snaps, &golden.stats, golden.ret);
         let horizon = golden.stats.cycles;
         for eighth in 1..8 {
             let strike = horizon * eighth / 8;
@@ -98,12 +102,14 @@ fn strike_into_an_unread_register_exits_early_with_the_full_outcome() {
 /// full replay's, and the uniform rungs exit early on most strike runs.
 /// Comparing the whole register file gave those rungs an exit ratio of
 /// 0.411 (316 of 768 runs); comparing live registers gives 0.727 (558).
+/// The summed [`ForkStats`] of the early-exit campaigns are pinned.
 #[test]
 fn ladder_campaigns_match_full_replay_and_mostly_exit_early() {
     const FLOOR: f64 = 0.70;
     let names = ["bwaves", "mcf", "gcc", "hmmer", "soplex", "fft"];
     let all = all_kernels(Scale::Smoke);
     let (mut runs, mut exits) = (0, 0);
+    let mut census = ForkStats::default();
     for (i, name) in names.iter().enumerate() {
         let k = all
             .iter()
@@ -132,12 +138,49 @@ fn ladder_campaigns_match_full_replay_and_mostly_exit_early() {
             // Full replay never probes, so it records no census.
             assert_eq!(full_fork.replay_never_matched, 0, "{what}");
             assert!(full_fork.replay_refusals.iter().all(|&n| n == 0), "{what}");
+            census.hits += fork.hits;
+            census.misses += fork.misses;
+            census.prefix_cycles_saved += fork.prefix_cycles_saved;
+            census.replay_exits += fork.replay_exits;
+            census.replay_cycles_saved += fork.replay_cycles_saved;
+            for (total, n) in census.replay_refusals.iter_mut().zip(fork.replay_refusals) {
+                *total += n;
+            }
+            census.replay_budget_exhausted += fork.replay_budget_exhausted;
+            census.replay_never_matched += fork.replay_never_matched;
             if scheme != Scheme::Adaptive {
                 runs += report.runs;
                 exits += fork.replay_exits;
             }
         }
     }
+    // The probe census of all 54 campaigns, pinned as measured before the
+    // probe was indexed by live-register fingerprint. A probe that loses
+    // a candidate (or visits them in another order) leaves every outcome
+    // identical and shows up only here: as fewer exits, fewer cycles
+    // saved, or another refusal mix.
+    let mut refusals = [0; Refusal::ALL.len()];
+    for (reason, n) in [
+        (Refusal::Readiness, 8),
+        (Refusal::Rbb, 56),
+        (Refusal::Coloring, 73),
+        (Refusal::L1Tags, 5),
+        (Refusal::Memory, 5),
+        (Refusal::CkptMemory, 8),
+    ] {
+        refusals[reason as usize] = n;
+    }
+    let pinned = ForkStats {
+        hits: 599,
+        misses: 265,
+        prefix_cycles_saved: 1_871_552,
+        replay_exits: 622,
+        replay_cycles_saved: 1_618_789,
+        replay_refusals: refusals,
+        replay_budget_exhausted: 0,
+        replay_never_matched: 54,
+    };
+    assert_eq!(census, pinned, "early-exit probe census of the ladder");
     let ratio = exits as f64 / runs as f64;
     assert!(
         ratio >= FLOOR,

@@ -25,7 +25,7 @@ fn check_scheme(scheme: Scheme) {
             .unwrap_or_else(|e| panic!("{}/{:?}: {e}", k.name, scheme));
         assert_eq!(run.outcome.ret, golden.0, "{} ret under {scheme:?}", k.name);
         assert_eq!(
-            data_only(&run.outcome.memory),
+            data_only(&run.outcome.memory.to_btree()),
             data_only(&golden.1),
             "{} memory under {scheme:?}",
             k.name
@@ -62,7 +62,11 @@ fn all_schemes_agree_with_each_other_on_a_sample() {
         for s in Scheme::LADDER {
             let run = run_kernel(&k.program, &RunSpec::new(s))
                 .unwrap_or_else(|e| panic!("{}/{s:?}: {e}", k.name));
-            results.push((s, run.outcome.ret, data_only(&run.outcome.memory)));
+            results.push((
+                s,
+                run.outcome.ret,
+                data_only(&run.outcome.memory.to_btree()),
+            ));
         }
         for w in results.windows(2) {
             assert_eq!(w[0].1, w[1].1, "{}: {:?} vs {:?}", k.name, w[0].0, w[1].0);

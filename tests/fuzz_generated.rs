@@ -52,7 +52,7 @@ fn generated_kernels_are_equivalent_under_all_schemes() {
                 .unwrap_or_else(|e| panic!("seed {seed} {scheme:?}: {e}"));
             assert_eq!(run.outcome.ret, golden.0, "seed {seed} {scheme:?}");
             assert_eq!(
-                data_only(&run.outcome.memory),
+                data_only(&run.outcome.memory.to_btree()),
                 data_only(&golden.1),
                 "seed {seed} {scheme:?}"
             );

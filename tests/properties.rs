@@ -138,7 +138,7 @@ proptest! {
             .run(&turnpike::sim::FaultPlan::none())
             .expect("simulates");
         prop_assert_eq!(sim.ret, golden.0);
-        prop_assert_eq!(data_only(&sim.memory), data_only(&golden.1));
+        prop_assert_eq!(data_only(&sim.memory.to_btree()), data_only(&golden.1));
     }
 
     /// The partitioner keeps every region within the store budget, for any

@@ -108,7 +108,7 @@ fn guided_runs_match_unguided_outcomes() {
             let (golden, snaps) = Core::new(program, sc.clone())
                 .run_collecting_snapshots(&FaultPlan::none(), INTERVAL)
                 .unwrap();
-            let guide = ReplayGuide::new(&snaps, &golden.stats, golden.ret);
+            let guide = ReplayGuide::new(program, &snaps, &golden.stats, golden.ret);
             let horizon = golden.stats.cycles;
             for eighth in 1..8 {
                 let cycle = horizon * eighth / 8;
