@@ -41,10 +41,12 @@
 //! turnpike rung's strike records as JSONL.
 //!
 //! `explore` sweeps the cross-layer design space (scheme x WCDL x SB size
-//! x CLQ x colors x cache geometry) through the staged explorer and prints
-//! the Pareto frontier over (runtime overhead, hardware cost, SDC rate);
-//! the frontier artifact (`--out`) and the table are byte-identical at any
-//! `--threads` count and between direct execution and a `--workers` fleet.
+//! x CLQ x colors x cache geometry), evaluating every canonical point, and
+//! prints the Pareto frontier over (runtime overhead, hardware cost, SDC
+//! rate); the frontier artifact (`--out`) and the table are byte-identical
+//! at any `--threads` count and between direct execution and a `--workers`
+//! fleet, which shares `coordinate`'s work-stealing dispatcher and so
+//! survives dead or draining workers.
 //! `--store DIR` memoizes every job's payload; `--resume` re-runs a sweep
 //! against that store.
 //!
@@ -141,7 +143,6 @@ flags! {
     RECORDS = "--records" "FILE" "write turnpike strike records as JSONL";
     MAX_RECORDS = "--max-records" "N" "reservoir-cap the records at N >= 1";
     RESUME = "--resume" "" "serve already-evaluated jobs from --store";
-    EPSILON = "--epsilon" "X" "epsilon-dominance tolerance, X > 0";
     REPS = "--reps" "N" "timed runs per cell, min taken, N >= 1 (default 5)";
     KIND = "--kind" "K" "compile, run, campaign or figure";
     KERNEL = "--kernel" "K" "catalog kernel (default bwaves)";
@@ -241,10 +242,8 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "explore",
         operand: "",
-        summary: "staged design-space exploration; Pareto frontier artifact",
-        flags: &[&[
-            SMOKE, FULL, THREADS, WORKERS, STORE, RESUME, SEED, EPSILON, OUT,
-        ]],
+        summary: "design-space exploration; Pareto frontier artifact",
+        flags: &[&[SMOKE, FULL, THREADS, WORKERS, STORE, RESUME, SEED, OUT]],
         run: explore_main,
     },
     Command {
@@ -955,14 +954,14 @@ fn telemetry_main(a: &Args) -> Cli {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `reproduce explore` — run the staged cross-layer design-space
-/// exploration and emit the Pareto frontier.
+/// `reproduce explore` — run the cross-layer design-space exploration and
+/// emit the Pareto frontier.
 ///
 /// The frontier table goes to stdout (golden-diffable: byte-identical at
 /// any `--threads` count and identical between direct execution and a
 /// `--workers` fleet); the full frontier artifact goes to `--out`
 /// (default `explore_frontier.json`); stage-by-stage progress — grid
-/// size, pruning counts, campaign rounds, store traffic — goes to stderr;
+/// size, points promoted, campaign rounds, store traffic — goes to stderr;
 /// and the run records the `explore` block of `BENCH_reproduce.json`.
 /// `--resume` (requires `--store`) re-runs a sweep against its artifact
 /// store so every already-evaluated job is a store hit instead of a
@@ -979,15 +978,12 @@ fn explore_main(a: &Args) -> Cli {
         Scale::Full => ExploreConfig::full(),
     };
     cfg.seed = a.int("--seed", 0)?.unwrap_or(cfg.seed);
-    cfg.epsilon = a
-        .get("--epsilon", "a number > 0", |v| {
-            v.parse().ok().filter(|e: &f64| *e > 0.0)
-        })?
-        .unwrap_or(cfg.epsilon);
     let threads = a.threads()?;
     let workers: Vec<String> = a
-        .text("--workers")
-        .map_or_else(Vec::new, |v| v.split(',').map(str::to_string).collect());
+        .get("--workers", "host:port[,host:port...]", resolve_all)?
+        .map_or_else(Vec::new, |addrs| {
+            addrs.iter().map(SocketAddr::to_string).collect()
+        });
     let out_path = a.text("--out").unwrap_or("explore_frontier.json");
     let runner = if workers.is_empty() {
         // The executor's engine is serial: explore parallelism is
@@ -1005,10 +1001,9 @@ fn explore_main(a: &Args) -> Cli {
         }
     };
     eprintln!(
-        "# explore: {} scale, seed {:#x}, epsilon {}, {}",
+        "# explore: {} scale, seed {:#x}, {}",
         cfg.scale.name(),
         cfg.seed,
-        cfg.epsilon,
         if workers.is_empty() {
             format!("{threads} threads")
         } else {
@@ -1040,7 +1035,6 @@ fn explore_main(a: &Args) -> Cli {
     let record = Json::obj([
         ("scale", Json::from(cfg.scale.name())),
         ("seed", cfg.seed.into()),
-        ("epsilon", cfg.epsilon.into()),
         ("grid_raw", c.raw.into()),
         ("grid_canonical", c.canonical.into()),
         ("promoted", c.promoted.into()),

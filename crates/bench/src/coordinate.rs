@@ -18,22 +18,27 @@
 //!    [`campaign_payload`] the serve executor uses, so the merged report
 //!    is the same *bytes*, not merely the same numbers.
 //!
-//! Fault tolerance is work-stealing re-dispatch: shards live in a shared
-//! queue, each worker thread pulls the next shard, and a worker that dies
-//! mid-shard (connection drop, rejection budget exhausted, draining
-//! server) puts the shard back for the survivors. A shard is only marked
-//! finished when its payload parsed back into totals, so a half-streamed
-//! result can never count.
+//! Fault tolerance lives in [`dispatch`], the one fleet dispatcher the
+//! coordinator and the design-space explorer share: jobs live in a shared
+//! queue, each worker thread pulls the next job, and a worker that dies
+//! mid-job (connection drop, rejection budget exhausted, draining server)
+//! puts the job back for the survivors. Results land by job index, so which
+//! worker ran what never shows in the output.
 
 use std::collections::VecDeque;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Display;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use turnpike_serve::{Backoff, Client, JobKind, JobRequest, Json, Outcome};
 
 use crate::service::{campaign_payload, CampaignTotals};
+
+/// Default for how many `overloaded` rejections in a row a job attempt
+/// absorbs before the worker gives the job back and leaves the fleet.
+pub const MAX_RETRIES: usize = 100;
 
 /// Coordinator tuning knobs (the campaign itself rides in `request`).
 #[derive(Debug, Clone)]
@@ -54,21 +59,21 @@ impl Default for CoordinateConfig {
         CoordinateConfig {
             request: JobRequest::new(JobKind::Campaign),
             shards: 0,
-            max_retries: 100,
+            max_retries: MAX_RETRIES,
         }
     }
 }
 
-/// Per-worker share of a finished coordination, for the report.
+/// Per-worker share of a finished dispatch, for the report.
 #[derive(Debug, Clone)]
 pub struct WorkerShare {
     /// Worker address as given.
     pub addr: String,
-    /// Shards this worker completed.
+    /// Jobs (for the coordinator: shards) this worker completed.
     pub shards_done: u64,
-    /// Injected runs inside those shards.
+    /// The `runs` of those jobs: injected runs, for campaign shards.
     pub runs_done: u64,
-    /// Whether the worker was still healthy when the campaign finished.
+    /// Whether the worker was still healthy when the dispatch finished.
     pub alive: bool,
 }
 
@@ -112,12 +117,10 @@ impl CoordinateReport {
     }
 }
 
-/// One pending unit of work: global run offset and run count.
-type Shard = (u64, u64);
-
-/// Split `runs` into `shards` contiguous ranges covering `[0, runs)`.
-/// Earlier shards take the remainder so sizes differ by at most one.
-fn partition(runs: u64, shards: usize) -> Vec<Shard> {
+/// Split `runs` into `shards` contiguous `(offset, runs)` ranges covering
+/// `[0, runs)`. Earlier shards take the remainder so sizes differ by at
+/// most one.
+fn partition(runs: u64, shards: usize) -> Vec<(u64, u64)> {
     let shards = shards.max(1) as u64;
     let base = runs / shards;
     let rem = runs % shards;
@@ -134,27 +137,46 @@ fn partition(runs: u64, shards: usize) -> Vec<Shard> {
     out
 }
 
-struct FleetState {
-    /// Shards nobody has finished yet; workers pull from the front and
+/// What a [`dispatch`] call produced.
+#[derive(Debug, Clone)]
+pub struct Dispatched {
+    /// `(payload, store_hit)` per request, in request order.
+    pub results: Vec<(String, bool)>,
+    /// Job attempts re-queued after a worker failure.
+    pub reassigned: u64,
+    /// Per-worker shares, in the order workers were given.
+    pub workers: Vec<WorkerShare>,
+}
+
+/// Why a queue lock can fail: a worker thread panicked while holding it.
+const POISONED: &str = "a fleet worker thread panicked holding the queue lock";
+
+/// The work-stealing queue one [`dispatch`] call shares across its worker
+/// threads.
+struct Queue<'a> {
+    reqs: &'a [JobRequest],
+    /// Indices nobody has finished yet; workers pull from the front and
     /// push failed attempts to the back.
-    pending: Mutex<VecDeque<Shard>>,
-    /// Finished shards: `(offset, runs, totals)`.
-    done: Mutex<Vec<(u64, u64, CampaignTotals)>>,
-    /// Runs inside finished shards (progress numerator base).
+    pending: Mutex<VecDeque<usize>>,
+    /// Finished jobs' `(payload, store_hit)`, by request index.
+    results: Mutex<Vec<Option<(String, bool)>>>,
+    done: AtomicUsize,
+    /// Runs inside finished jobs (progress numerator base).
     completed_runs: AtomicU64,
-    /// Per-worker progress inside the shard currently in flight.
+    /// Per-worker progress inside the job currently in flight.
     in_flight: Vec<AtomicU64>,
-    /// Shards re-queued after a worker failure.
+    /// Jobs re-queued after a worker failure.
     reassigned: AtomicU64,
     /// A deterministic job failure (bad kernel, executor error). Fatal:
     /// re-dispatching it would fail identically on every worker.
     fatal: Mutex<Option<String>>,
-    shard_count: usize,
+    total_runs: u64,
 }
 
-impl FleetState {
+impl Queue<'_> {
     fn finished(&self) -> bool {
-        self.done.lock().unwrap().len() == self.shard_count || self.fatal.lock().unwrap().is_some()
+        self.done.load(Ordering::SeqCst) == self.reqs.len()
+            || self.fatal.lock().expect(POISONED).is_some()
     }
 
     fn progress_done(&self) -> u64 {
@@ -167,128 +189,184 @@ impl FleetState {
     }
 }
 
-/// Run one worker thread: pull shards, submit them to `addr`, retry
-/// rejections with jittered backoff, and re-queue the shard on any
-/// worker-side failure. Returns `(shards_done, runs_done, alive)`.
+/// Run one worker thread: pull jobs, submit them to `addr`, retry
+/// rejections with jittered backoff, and re-queue the job on any
+/// worker-side failure. Returns `(jobs_done, runs_done, alive)`.
 fn worker_loop(
-    addr: SocketAddr,
+    addr: impl ToSocketAddrs,
     index: usize,
-    state: &FleetState,
-    cfg: &CoordinateConfig,
+    q: &Queue,
+    max_retries: usize,
     on_progress: Option<&(dyn Fn(u64, u64) + Sync)>,
 ) -> (u64, u64, bool) {
-    let total = cfg.request.runs;
-    let mut shards_done = 0u64;
+    let mut jobs_done = 0u64;
     let mut runs_done = 0u64;
     let mut client: Option<Client> = None;
     let mut backoff = Backoff::new(1, 1_000, index as u64);
     loop {
-        if state.finished() {
-            return (shards_done, runs_done, true);
+        if q.finished() {
+            return (jobs_done, runs_done, true);
         }
-        let Some((offset, runs)) = state.pending.lock().unwrap().pop_front() else {
-            // Nothing pending but shards are still in flight elsewhere; if
-            // one of those workers dies, its shard lands back in the queue
+        let Some(i) = q.pending.lock().expect(POISONED).pop_front() else {
+            // Nothing pending but jobs are still in flight elsewhere; if
+            // one of those workers dies, its job lands back in the queue
             // for us. Poll instead of exiting.
             std::thread::sleep(Duration::from_millis(5));
             continue;
         };
-
-        let requeue = |state: &FleetState| {
-            state.pending.lock().unwrap().push_back((offset, runs));
-            state.reassigned.fetch_add(1, Ordering::Relaxed);
-            state.in_flight[index].store(0, Ordering::Relaxed);
+        let req = &q.reqs[i];
+        let leave = || {
+            q.pending.lock().expect(POISONED).push_back(i);
+            q.reassigned.fetch_add(1, Ordering::Relaxed);
+            q.in_flight[index].store(0, Ordering::Relaxed);
+            (jobs_done, runs_done, false)
         };
-
-        let mut req = cfg.request.clone();
-        req.run_offset = offset;
-        req.runs = runs;
-        req.tag = format!("shard-{offset}");
 
         let mut retries = 0usize;
         loop {
             // (Re)connect lazily: a worker that was killed and restarted
-            // rejoins the fleet on the next shard attempt.
+            // rejoins the fleet on the next job attempt.
             let c = match &mut client {
                 Some(c) => c,
-                None => match Client::connect(addr) {
+                None => match Client::connect(&addr) {
                     Ok(c) => client.insert(c),
-                    Err(_) => {
-                        requeue(state);
-                        return (shards_done, runs_done, false);
-                    }
+                    Err(_) => return leave(),
                 },
             };
-            let outcome = c.submit_with(&req, |done, _total| {
-                state.in_flight[index].store(done, Ordering::Relaxed);
+            let outcome = c.submit_with(req, |done, _total| {
+                q.in_flight[index].store(done, Ordering::Relaxed);
                 if let Some(f) = on_progress {
-                    f(state.progress_done(), total);
+                    f(q.progress_done(), q.total_runs);
                 }
             });
             match outcome {
-                Ok(Outcome::Done { result, .. }) => {
-                    let Some(totals) = CampaignTotals::from_payload(&result) else {
-                        // A payload we can't read back is a protocol-level
-                        // worker failure, not a merge input.
-                        requeue(state);
-                        return (shards_done, runs_done, false);
-                    };
-                    state.in_flight[index].store(0, Ordering::Relaxed);
-                    state.completed_runs.fetch_add(runs, Ordering::Relaxed);
-                    state.done.lock().unwrap().push((offset, runs, totals));
+                Ok(Outcome::Done { result, store, .. }) => {
+                    q.in_flight[index].store(0, Ordering::Relaxed);
+                    q.completed_runs.fetch_add(req.runs, Ordering::Relaxed);
+                    q.results.lock().expect(POISONED)[i] = Some((result, store == "hit"));
+                    q.done.fetch_add(1, Ordering::SeqCst);
                     if let Some(f) = on_progress {
-                        f(state.progress_done(), total);
+                        f(q.progress_done(), q.total_runs);
                     }
-                    shards_done += 1;
-                    runs_done += runs;
+                    jobs_done += 1;
+                    runs_done += req.runs;
                     backoff.reset();
                     break;
                 }
                 Ok(Outcome::Overloaded { retry_after_ms }) => {
                     retries += 1;
-                    if retries > cfg.max_retries {
-                        requeue(state);
-                        return (shards_done, runs_done, false);
+                    if retries > max_retries {
+                        return leave();
                     }
                     std::thread::sleep(backoff.next_delay(retry_after_ms));
                 }
-                Ok(Outcome::ShuttingDown) => {
-                    // Draining server: it finishes what it has but takes no
-                    // new work — treat as the worker leaving the fleet.
-                    requeue(state);
-                    return (shards_done, runs_done, false);
-                }
+                // Draining server: it finishes what it has but takes no new
+                // work — the worker leaves the fleet. A dead connection
+                // (worker killed mid-job) hands the job to the survivors.
+                Ok(Outcome::ShuttingDown) | Err(_) => return leave(),
                 Ok(Outcome::Error { message, .. }) => {
                     // Deterministic job error: every worker would fail the
-                    // same way, so abort the campaign instead of looping.
-                    *state.fatal.lock().unwrap() = Some(message);
-                    state.in_flight[index].store(0, Ordering::Relaxed);
-                    return (shards_done, runs_done, true);
-                }
-                Err(_) => {
-                    // Connection died mid-shard (worker killed); hand the
-                    // shard to the survivors.
-                    requeue(state);
-                    return (shards_done, runs_done, false);
+                    // same way, so abort the dispatch instead of looping.
+                    *q.fatal.lock().expect(POISONED) = Some(message);
+                    q.in_flight[index].store(0, Ordering::Relaxed);
+                    return (jobs_done, runs_done, true);
                 }
             }
         }
     }
 }
 
-/// Shard `cfg.request` across `workers` and merge the results.
+/// Execute `reqs` on a fleet of `turnpike-serve` workers, one thread and
+/// one connection per worker, through a shared work-stealing queue.
 ///
 /// `on_progress(done_runs, total_runs)` is invoked from worker threads as
-/// shard progress streams in; `done_runs` aggregates finished shards plus
+/// progress streams in; `done_runs` aggregates finished jobs' `runs` plus
 /// live in-flight progress across the fleet.
 ///
 /// # Errors
 ///
-/// - an invalid request (not a campaign, nonzero `run_offset`, zero runs,
-///   or no workers);
+/// - no workers;
 /// - a deterministic job error reported by a worker (re-dispatching would
 ///   fail identically);
-/// - every worker failing while shards remain (nobody left to run them).
+/// - every worker failing while jobs remain (nobody left to run them).
+pub fn dispatch<A: ToSocketAddrs + Display + Sync>(
+    workers: &[A],
+    reqs: &[JobRequest],
+    max_retries: usize,
+    on_progress: Option<&(dyn Fn(u64, u64) + Sync)>,
+) -> Result<Dispatched, String> {
+    if workers.is_empty() {
+        return Err("at least one worker address is required".to_string());
+    }
+    let q = Queue {
+        reqs,
+        pending: Mutex::new((0..reqs.len()).collect()),
+        results: Mutex::new(vec![None; reqs.len()]),
+        done: AtomicUsize::new(0),
+        completed_runs: AtomicU64::new(0),
+        in_flight: workers.iter().map(|_| AtomicU64::new(0)).collect(),
+        reassigned: AtomicU64::new(0),
+        fatal: Mutex::new(None),
+        total_runs: reqs.iter().map(|r| r.runs).sum(),
+    };
+    let shares: Vec<(u64, u64, bool)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .iter()
+            .enumerate()
+            .map(|(i, addr)| {
+                let q = &q;
+                scope.spawn(move || worker_loop(addr, i, q, max_retries, on_progress))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fleet worker thread panicked"))
+            .collect()
+    });
+
+    if let Some(message) = q.fatal.into_inner().expect(POISONED) {
+        return Err(format!("worker job error: {message}"));
+    }
+    let results: Option<Vec<(String, bool)>> = q
+        .results
+        .into_inner()
+        .expect(POISONED)
+        .into_iter()
+        .collect();
+    let Some(results) = results else {
+        return Err(format!(
+            "{} of {} jobs finished and no workers remain",
+            q.done.into_inner(),
+            reqs.len()
+        ));
+    };
+    Ok(Dispatched {
+        results,
+        reassigned: q.reassigned.into_inner(),
+        workers: workers
+            .iter()
+            .zip(shares)
+            .map(|(addr, (shards_done, runs_done, alive))| WorkerShare {
+                addr: addr.to_string(),
+                shards_done,
+                runs_done,
+                alive,
+            })
+            .collect(),
+    })
+}
+
+/// Shard `cfg.request` across `workers` and merge the results.
+///
+/// The shards go through [`dispatch`]; `on_progress` is its progress
+/// callback.
+///
+/// # Errors
+///
+/// - an invalid request (not a campaign, nonzero `run_offset`, or zero
+///   runs);
+/// - any [`dispatch`] error, no workers among them;
+/// - a shard payload that does not parse back into campaign totals.
 pub fn coordinate(
     workers: &[SocketAddr],
     cfg: &CoordinateConfig,
@@ -304,63 +382,37 @@ pub fn coordinate(
     if cfg.request.runs == 0 {
         return Err(bad("a campaign with zero runs has nothing to shard"));
     }
-    if workers.is_empty() {
-        return Err(bad("at least one worker address is required"));
-    }
 
     let shard_want = if cfg.shards == 0 {
         workers.len()
     } else {
         cfg.shards
     };
-    let shards = partition(cfg.request.runs, shard_want.min(cfg.request.runs as usize));
-    let state = FleetState {
-        pending: Mutex::new(shards.iter().copied().collect()),
-        done: Mutex::new(Vec::with_capacity(shards.len())),
-        completed_runs: AtomicU64::new(0),
-        in_flight: (0..workers.len()).map(|_| AtomicU64::new(0)).collect(),
-        reassigned: AtomicU64::new(0),
-        fatal: Mutex::new(None),
-        shard_count: shards.len(),
-    };
-
-    let started = Instant::now();
-    let shares: Vec<(u64, u64, bool)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter()
-            .enumerate()
-            .map(|(i, &addr)| {
-                let state = &state;
-                scope.spawn(move || worker_loop(addr, i, state, cfg, on_progress))
+    let shards: Vec<JobRequest> =
+        partition(cfg.request.runs, shard_want.min(cfg.request.runs as usize))
+            .into_iter()
+            .map(|(offset, runs)| {
+                let mut req = cfg.request.clone();
+                req.run_offset = offset;
+                req.runs = runs;
+                req.tag = format!("shard-{offset}");
+                req
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("coordinator worker thread panicked"))
-            .collect()
-    });
+
+    let started = Instant::now();
+    let fleet =
+        dispatch(workers, &shards, cfg.max_retries, on_progress).map_err(std::io::Error::other)?;
     let wall_us = started.elapsed().as_micros() as u64;
 
-    if let Some(message) = state.fatal.into_inner().unwrap() {
-        return Err(std::io::Error::other(format!(
-            "worker job error: {message}"
-        )));
-    }
-    let mut done = state.done.into_inner().unwrap();
-    if done.len() != shards.len() {
-        return Err(std::io::Error::other(format!(
-            "campaign incomplete: {} of {} shards finished and no workers remain",
-            done.len(),
-            shards.len()
-        )));
-    }
-
-    // Merge in ascending global-run order. Counter addition commutes, but
-    // a canonical order makes the merge auditable against the shard list.
-    done.sort_unstable_by_key(|&(offset, _, _)| offset);
+    // Merge in ascending global-run order (the shard order). Counter
+    // addition commutes, but a canonical order makes the merge auditable
+    // against the shard list.
     let mut totals = CampaignTotals::default();
-    for (_, _, t) in &done {
-        totals.absorb(t);
+    for (payload, _) in &fleet.results {
+        let shard = CampaignTotals::from_payload(payload)
+            .ok_or_else(|| std::io::Error::other(format!("unparsable shard payload: {payload}")))?;
+        totals.absorb(&shard);
     }
     let payload = campaign_payload(&cfg.request, &cfg.request.scale, &totals);
 
@@ -368,17 +420,8 @@ pub fn coordinate(
         payload,
         totals,
         shards: shards.len(),
-        reassigned: state.reassigned.into_inner(),
-        workers: workers
-            .iter()
-            .zip(&shares)
-            .map(|(addr, &(shards_done, runs_done, alive))| WorkerShare {
-                addr: addr.to_string(),
-                shards_done,
-                runs_done,
-                alive,
-            })
-            .collect(),
+        reassigned: fleet.reassigned,
+        workers: fleet.workers,
         wall_us,
     })
 }

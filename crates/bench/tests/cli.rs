@@ -33,7 +33,7 @@ const SUBCOMMANDS: &[(&str, &[&str], &str, &str)] = &[
     ("coordinate", &["coordinate"], "--shards", "0"),
     ("watch", &["watch"], "--interval-ms", "10"),
     ("telemetry", &["telemetry"], "--stop-ci", "0.7"),
-    ("explore", &["explore"], "--epsilon", "0"),
+    ("explore", &["explore"], "--workers", "127.0.0.1:99999"),
     ("sim-throughput", &["sim-throughput"], "--reps", "0"),
 ];
 

@@ -3,10 +3,12 @@
 //!
 //! - the frontier artifact is byte-identical at any thread count;
 //! - dispatching the same exploration through a `turnpike-serve` worker
-//!   fleet produces the identical bytes;
+//!   fleet produces the identical bytes, also when one worker address is
+//!   dead or a worker drains mid-sweep;
 //! - a resumed exploration (fresh process state, same artifact store)
 //!   serves every job from the store and simulates nothing.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use turnpike_bench::explore::{frontier_json, run_explore, ExploreConfig, JobRunner};
@@ -38,14 +40,11 @@ fn tiny_config() -> ExploreConfig {
     ExploreConfig {
         axes: TINY_AXES,
         scale: Scale::Smoke,
-        screen_kernels: vec!["bwaves".into()],
         kernels: vec!["bwaves".into(), "mcf".into()],
         campaign_kernel: "bwaves".into(),
         seed: 7,
-        screen_runs: 4,
         ci_half_width: 0.2,
         ci_cap: 8,
-        ..ExploreConfig::smoke()
     }
 }
 
@@ -53,6 +52,20 @@ fn direct_runner(threads: usize) -> JobRunner {
     JobRunner::Direct {
         exec: EngineExecutor::new(Engine::serial()),
         threads,
+    }
+}
+
+fn start_worker() -> Server {
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    Server::start(config, Arc::new(EngineExecutor::new(Engine::serial()))).unwrap()
+}
+
+fn fleet(addrs: Vec<SocketAddr>) -> JobRunner {
+    JobRunner::Fleet {
+        workers: addrs.iter().map(SocketAddr::to_string).collect(),
     }
 }
 
@@ -83,21 +96,11 @@ fn frontier_is_byte_identical_across_thread_counts() {
 #[test]
 fn fleet_execution_matches_direct_byte_for_byte() {
     let direct = explore_artifact(&direct_runner(2));
-    // Two in-process workers, one engine thread each — the explorer's
-    // round-robin sharding and by-index result placement must make worker
-    // timing invisible.
-    let servers: Vec<Server> = (0..2)
-        .map(|_| {
-            let config = ServerConfig {
-                workers: 1,
-                ..ServerConfig::default()
-            };
-            Server::start(config, Arc::new(EngineExecutor::new(Engine::serial()))).unwrap()
-        })
-        .collect();
-    let runner = JobRunner::Fleet {
-        workers: servers.iter().map(|s| s.addr().to_string()).collect(),
-    };
+    // Two in-process workers, one engine thread each — the work-stealing
+    // dispatch and by-index result placement must make worker timing
+    // invisible.
+    let servers: Vec<Server> = (0..2).map(|_| start_worker()).collect();
+    let runner = fleet(servers.iter().map(Server::addr).collect());
     let served = explore_artifact(&runner);
     assert_eq!(served, direct, "fleet vs direct artifact bytes");
     for server in servers {
@@ -105,6 +108,52 @@ fn fleet_execution_matches_direct_byte_for_byte() {
         c.shutdown().unwrap();
         server.join();
     }
+}
+
+#[test]
+fn dead_worker_address_is_routed_around() {
+    // Worker 0's address points at a freed port: every job handed to it
+    // must come back to the queue and land on the live worker.
+    let direct = explore_artifact(&direct_runner(1));
+    let dead = {
+        let s = start_worker();
+        let addr = s.addr();
+        s.shutdown();
+        addr
+    };
+    let live = start_worker();
+    let served = explore_artifact(&fleet(vec![dead, live.addr()]));
+    assert_eq!(served, direct, "fleet with a dead worker vs direct bytes");
+    live.shutdown();
+}
+
+#[test]
+fn worker_draining_mid_sweep_does_not_change_the_frontier() {
+    // A graceful drain mid-sweep, between the overhead runs and the first
+    // campaign round: the leaving worker finishes what it holds, then
+    // rejects further jobs; the survivor absorbs the campaign rounds.
+    let direct = explore_artifact(&direct_runner(1));
+    let leaver = start_worker();
+    let survivor = start_worker();
+    let leaver_addr = leaver.addr();
+    let cfg = tiny_config();
+    let mut drained = false;
+    let mut drain_after_runs = |line: String| {
+        if line.starts_with("promote runs:") {
+            Client::connect(leaver_addr).unwrap().shutdown().unwrap();
+            drained = true;
+        }
+    };
+    let runner = fleet(vec![leaver_addr, survivor.addr()]);
+    let report = run_explore(&runner, &cfg, &mut drain_after_runs).expect("sweep during drain");
+    assert!(drained, "the drain fired mid-sweep");
+    assert_eq!(
+        frontier_json(&cfg, &report),
+        direct,
+        "fleet with a draining worker vs direct bytes"
+    );
+    leaver.join();
+    survivor.shutdown();
 }
 
 #[test]
@@ -118,11 +167,10 @@ fn resumed_exploration_serves_every_job_from_the_store() {
     };
     let cfg = tiny_config();
     let cold_report = run_explore(&cold, &cfg, &mut |_| {}).unwrap();
-    // Even a cold sweep hits the store where stages overlap (the promote
-    // stage re-issues the screen stage's smoke runs for kernels in both
-    // lists) — but it must compute everything it hasn't already stored.
-    assert!(
-        cold_report.counts.store_hits < cold_report.counts.jobs,
+    // Every job of a sweep is distinct (runs are dedup'd, campaign
+    // rounds differ in run offset), so a cold sweep computes everything.
+    assert_eq!(
+        cold_report.counts.store_hits, 0,
         "cold sweep must compute: {:?}",
         cold_report.counts
     );

@@ -13,9 +13,8 @@
 //!   to the [`RunSpec`](turnpike_resilience::RunSpec) that evaluates it
 //!   and the [`StructureCost`](turnpike_model::StructureCost) that prices
 //!   it;
-//! * [`pareto`] — epsilon-dominance Pareto filtering over the three
-//!   objectives (runtime overhead, hardware area, SDC rate), with the
-//!   exact brute-force filter kept alongside as the correctness oracle.
+//! * [`pareto`] — exact Pareto filtering over the three objectives
+//!   (runtime overhead, hardware area, SDC rate).
 //!
 //! The crate is pure data-flow: no I/O, no threads, no randomness. The
 //! bench crate's explore driver owns execution (jobs through the memoizing
@@ -27,6 +26,4 @@ pub mod grid;
 pub mod pareto;
 
 pub use grid::{clq_name, enumerate, parse_clq, DesignPoint, Grid};
-pub use pareto::{
-    area_unit, eps_pareto_mask, exact_pareto_mask, staged_eps_prune, Objectives, DEFAULT_EPSILON,
-};
+pub use pareto::{area_unit, exact_pareto_mask, Objectives};

@@ -1,5 +1,4 @@
-//! Epsilon-dominance Pareto filtering over the explorer's three
-//! objectives.
+//! Pareto filtering over the explorer's three objectives.
 //!
 //! All three objectives are *minimized*: runtime overhead (normalized
 //! execution time), hardware area (in units of the paper's 4-entry
@@ -10,20 +9,10 @@
 //! a fourth axis would never change the frontier, only dilute the
 //! dominance relation.
 //!
-//! The staged search prunes with *epsilon* dominance: `q` eps-dominates
-//! `p` iff `q_i + eps ≤ p_i` on **every** axis. With `eps > 0` this is
-//! strictly stronger than plain dominance, which gives the pruner its
-//! soundness guarantee: any point epsilon-pruning drops is plainly
-//! dominated, so the pruned set is always a superset of the exact Pareto
-//! set ([`exact_pareto_mask`] is kept as the oracle and the property test
-//! below holds the pruner to it). The explicit epsilon also means float
-//! noise below `eps` can never flip a dominance decision between two runs
-//! of the search.
-
-/// Default pruning epsilon. Objectives are normalized to O(1) ranges
-/// (overhead ≈ 1–3, area in SB4 units ≈ 1–6, SDC rate ∈ [0, 1]), so 1e-3
-/// is far above float noise and far below any difference worth keeping.
-pub const DEFAULT_EPSILON: f64 = 1e-3;
+//! The explorer evaluates every canonical point and flags its frontier
+//! with one exact brute-force pass under plain dominance
+//! ([`exact_pareto_mask`]); points are few enough (hundreds) that the
+//! quadratic pass is negligible next to the simulations behind them.
 
 /// The area normalization unit: the paper's 4-entry store-buffer CAM
 /// (Table 1's first row). Dividing every point's area by this puts the
@@ -48,14 +37,6 @@ impl Objectives {
         [self.overhead, self.area, self.sdc]
     }
 
-    /// `self` epsilon-dominates `p`: at least `eps` better on every axis.
-    pub fn eps_dominates(self, p: Objectives, eps: f64) -> bool {
-        self.as_array()
-            .iter()
-            .zip(p.as_array())
-            .all(|(&q, pv)| q + eps <= pv)
-    }
-
     /// Plain Pareto dominance: no worse anywhere, strictly better
     /// somewhere.
     pub fn dominates(self, p: Objectives) -> bool {
@@ -65,59 +46,12 @@ impl Objectives {
     }
 }
 
-/// Keep-mask under epsilon-dominance: `mask[i]` is false iff some other
-/// point eps-dominates point `i`.
-///
-/// # Panics
-///
-/// `eps` must be strictly positive: at `eps = 0` a point would "dominate"
-/// its own duplicates (and itself), emptying plateaus of tied points.
-pub fn eps_pareto_mask(points: &[Objectives], eps: f64) -> Vec<bool> {
-    assert!(eps > 0.0, "epsilon must be > 0");
-    points
-        .iter()
-        .map(|&p| !points.iter().any(|&q| q.eps_dominates(p, eps)))
-        .collect()
-}
-
-/// Keep-mask under exact brute-force Pareto filtering (the oracle the
-/// property test holds the epsilon pruner to).
+/// Keep-mask under exact brute-force Pareto filtering: `mask[i]` is false
+/// iff some other point dominates point `i`.
 pub fn exact_pareto_mask(points: &[Objectives]) -> Vec<bool> {
     points
         .iter()
         .map(|&p| !points.iter().any(|&q| q.dominates(p)))
-        .collect()
-}
-
-/// Staged epsilon pruning, the shape the explorer's screening stage uses:
-/// filter fixed-size chunks independently (the explorer evaluates and
-/// prunes in batches), then run a final filter over the union of
-/// survivors. Returns the indices (into `points`) that survive, in input
-/// order.
-///
-/// Soundness: a point dropped inside a chunk was eps-dominated by a point
-/// *in that chunk*, hence plainly dominated globally; the final pass only
-/// drops eps-dominated points likewise. So the survivors are always a
-/// superset of the exact Pareto set of the full input.
-pub fn staged_eps_prune(points: &[Objectives], chunk: usize, eps: f64) -> Vec<usize> {
-    assert!(chunk > 0, "chunk size must be >= 1");
-    let mut survivors: Vec<usize> = Vec::new();
-    for (c, window) in points.chunks(chunk).enumerate() {
-        let mask = eps_pareto_mask(window, eps);
-        survivors.extend(
-            mask.iter()
-                .enumerate()
-                .filter(|(_, &keep)| keep)
-                .map(|(i, _)| c * chunk + i),
-        );
-    }
-    let pool: Vec<Objectives> = survivors.iter().map(|&i| points[i]).collect();
-    let mask = eps_pareto_mask(&pool, eps);
-    survivors
-        .into_iter()
-        .zip(mask)
-        .filter(|&(_, keep)| keep)
-        .map(|(i, _)| i)
         .collect()
 }
 
@@ -142,100 +76,38 @@ mod tests {
         assert!(!cheap_slow.dominates(fast_pricey));
         assert!(!fast_pricey.dominates(cheap_slow));
         assert!(cheap_slow.dominates(bad) && fast_pricey.dominates(bad));
-        assert!(cheap_slow.eps_dominates(bad, 0.1));
-        // A tie on one axis still plainly dominates, but never
-        // eps-dominates — epsilon demands real margin everywhere.
-        let tied = o(2.0, 1.0, 0.4);
-        assert!(cheap_slow.dominates(tied));
-        assert!(!cheap_slow.eps_dominates(tied, 0.1));
+        // A tie on one axis still dominates.
+        assert!(cheap_slow.dominates(o(2.0, 1.0, 0.4)));
         // No self-domination.
         assert!(!bad.dominates(bad));
-        assert!(!bad.eps_dominates(bad, 0.1));
     }
 
     #[test]
     fn duplicate_points_all_survive() {
         let pts = vec![o(1.0, 1.0, 0.0); 3];
-        assert_eq!(eps_pareto_mask(&pts, 0.01), vec![true; 3]);
         assert_eq!(exact_pareto_mask(&pts), vec![true; 3]);
-        assert_eq!(staged_eps_prune(&pts, 2, 0.01), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn sub_epsilon_noise_cannot_flip_dominance() {
-        let a = o(1.0, 1.0, 0.1);
-        let noisy = o(1.0 + 5e-4, 1.0 + 5e-4, 0.1 + 5e-4);
-        // Plain dominance would drop `noisy`; the epsilon filter keeps
-        // both, so measurement jitter below eps never changes the output.
-        assert!(a.dominates(noisy));
-        assert_eq!(
-            eps_pareto_mask(&[a, noisy], DEFAULT_EPSILON),
-            vec![true, true]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon must be > 0")]
-    fn zero_epsilon_is_rejected() {
-        let _ = eps_pareto_mask(&[o(1.0, 1.0, 0.0)], 0.0);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The satellite property: on random point sets, staged
-        /// epsilon-dominance pruning never drops a point that brute-force
-        /// Pareto filtering keeps — for any chunking and any positive
-        /// epsilon. Coordinates are drawn from a coarse integer lattice so
-        /// ties and duplicates (the adversarial cases) occur constantly.
+        /// On random point sets, the mask keeps exactly the undominated
+        /// points, and every dropped point is dominated by a kept one (so
+        /// the frontier alone witnesses every drop). Coordinates are drawn
+        /// from a coarse integer lattice so ties and duplicates occur
+        /// constantly.
         #[test]
-        fn staged_pruning_keeps_every_exact_pareto_point(
+        fn dropped_points_are_dominated_by_a_frontier_point(
             raw in prop::collection::vec((0u32..8, 0u32..8, 0u32..8), 0..40),
-            chunk in 1usize..12,
-            eps_mil in 1u32..500,
         ) {
             let points: Vec<Objectives> = raw
                 .iter()
                 .map(|&(a, b, c)| o(f64::from(a) * 0.25, f64::from(b) * 0.25, f64::from(c) * 0.125))
                 .collect();
-            let eps = f64::from(eps_mil) * 1e-3;
-            let survivors = staged_eps_prune(&points, chunk, eps);
-            let exact = exact_pareto_mask(&points);
-            for (i, &keep) in exact.iter().enumerate() {
-                if keep {
-                    prop_assert!(
-                        survivors.contains(&i),
-                        "exact Pareto point {i} ({:?}) dropped by staged pruning \
-                         (chunk {chunk}, eps {eps})",
-                        points[i]
-                    );
-                }
-            }
-            // And the pruner's own output is internally consistent: sorted,
-            // unique, in-range.
-            let mut sorted = survivors.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            prop_assert_eq!(&sorted, &survivors);
-            prop_assert!(survivors.iter().all(|&i| i < points.len()));
-        }
-
-        /// The one-shot mask agrees with plain dominance in the limit: any
-        /// point the eps filter drops is plainly dominated.
-        #[test]
-        fn eps_pruned_points_are_plainly_dominated(
-            raw in prop::collection::vec((0u32..8, 0u32..8, 0u32..8), 1..30),
-        ) {
-            let points: Vec<Objectives> = raw
-                .iter()
-                .map(|&(a, b, c)| o(f64::from(a) * 0.5, f64::from(b) * 0.5, f64::from(c) * 0.25))
-                .collect();
-            let eps_mask = eps_pareto_mask(&points, DEFAULT_EPSILON);
-            let exact = exact_pareto_mask(&points);
-            for i in 0..points.len() {
-                if !eps_mask[i] {
-                    prop_assert!(!exact[i], "point {i} eps-pruned but exact-Pareto");
-                }
+            let mask = exact_pareto_mask(&points);
+            for (i, &p) in points.iter().enumerate() {
+                let witness = points.iter().zip(&mask).any(|(&q, &keep)| keep && q.dominates(p));
+                prop_assert_eq!(mask[i], !witness, "point {} ({:?})", i, p);
             }
         }
     }

@@ -3,13 +3,13 @@
 //! The campaign decides "silent data corruption" by comparing each strike
 //! run's final state with the golden *simulated* run, after forking from a
 //! snapshot and possibly exiting early. This test decides it without any of
-//! that: every run of an Adaptive-rung campaign is re-simulated from
-//! scratch (no fork, no replay guide) under the campaign's own fault plan,
-//! and its return value and data memory are compared with the IR
-//! interpreter's fault-free result, which shares no code with the
-//! simulator or the campaign fold. The two verdicts must agree run by run,
-//! and the SDC count is pinned. Some SDC runs return the golden value, so
-//! a verdict that ignores memory cannot pass.
+//! that: every run of an Adaptive-rung or unprotected (Baseline) campaign
+//! is re-simulated from scratch (no fork, no replay guide) under the
+//! campaign's own fault plan, and its return value and data memory are
+//! compared with the IR interpreter's fault-free result, which shares no
+//! code with the simulator or the campaign fold. The two verdicts must
+//! agree run by run, and the SDC counts are pinned. Some SDC runs return
+//! the golden value, so a verdict that ignores memory cannot pass.
 
 use std::collections::BTreeMap;
 use turnpike::compiler::{compile, SPILL_BASE};
@@ -34,10 +34,12 @@ enum Verdict {
     Hang,
 }
 
-#[test]
-fn adaptive_campaign_sdc_verdicts_match_an_interpreter_oracle() {
+/// Run 48-run campaigns of `scheme` on six smoke kernels, check every
+/// run's campaign verdict against the oracle's, and return the SDC count
+/// and how many of those SDC runs returned the golden value.
+fn oracle_sdc_counts(scheme: Scheme) -> (usize, usize) {
     const RUNS: usize = 48;
-    let spec = RunSpec::new(Scheme::Adaptive);
+    let spec = RunSpec::new(scheme);
     let sc = spec.sim_config();
     let all = all_kernels(Scale::Smoke);
     let (mut sdc, mut sdc_with_golden_ret) = (0, 0);
@@ -105,7 +107,18 @@ fn adaptive_campaign_sdc_verdicts_match_an_interpreter_oracle() {
             "{name}"
         );
     }
+    (sdc, sdc_with_golden_ret)
+}
+
+#[test]
+fn adaptive_campaign_sdc_verdicts_match_an_interpreter_oracle() {
     // Measured: 35 SDC runs, 33 of them with the golden return value.
-    assert_eq!(sdc, 35, "pinned SDC count");
-    assert!(sdc_with_golden_ret > 0, "no SDC run kept the golden ret");
+    assert_eq!(oracle_sdc_counts(Scheme::Adaptive), (35, 33));
+}
+
+#[test]
+fn baseline_campaign_sdc_verdicts_match_an_interpreter_oracle() {
+    // The unprotected rung: every strike that corrupts state escapes.
+    // Measured: 135 SDC runs, 82 of them with the golden return value.
+    assert_eq!(oracle_sdc_counts(Scheme::Baseline), (135, 82));
 }
