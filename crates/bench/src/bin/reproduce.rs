@@ -56,14 +56,12 @@
 //! fault-free cycle count, so the export shows a full
 //! strike→detection→recovery arc.
 //!
-//! `sim-throughput` measures fault-free simulator speed — wall-clock
-//! nanoseconds per retired instruction, interpreter vs. superblock
-//! dispatch — over the whole kernel catalog.
-//!
-//! Figure targets, `telemetry`, `explore` and `sim-throughput` each record
-//! a perf block in `BENCH_reproduce.json`, a JSON object keyed by block
-//! name that every writer merges into (see `report.rs`). Timing goes there
-//! and to stderr, never to stdout.
+//! Figure targets, `telemetry` and `explore` each record a perf block in
+//! `BENCH_reproduce.json`, a JSON object keyed by block name that every
+//! writer merges into (see `report.rs`). Timing goes there and to stderr,
+//! never to stdout. Simulator speed is measured by the repository
+//! benchmark (`perfbench/`), whose traced `figures_full` run reports the
+//! golden path's nanoseconds per instruction.
 
 use std::fmt::Display;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -78,8 +76,8 @@ use turnpike_bench::{
 use turnpike_metrics::{Hist, Json, MetricSet};
 use turnpike_resilience::{par_map, RunSpec, Scheme};
 use turnpike_serve::{Client, JobKind, JobRequest, Outcome, Server, ServerConfig, Store};
-use turnpike_sim::{Core, FaultPlan, Refusal, Translation};
-use turnpike_workloads::{all_kernels, Scale, Suite};
+use turnpike_sim::Refusal;
+use turnpike_workloads::Scale;
 
 /// One command-line flag: its name, the placeholder of its value (`""`
 /// for a switch) and its help text.
@@ -143,7 +141,6 @@ flags! {
     RECORDS = "--records" "FILE" "write turnpike strike records as JSONL";
     MAX_RECORDS = "--max-records" "N" "reservoir-cap the records at N >= 1";
     RESUME = "--resume" "" "serve already-evaluated jobs from --store";
-    REPS = "--reps" "N" "timed runs per cell, min taken, N >= 1 (default 5)";
     KIND = "--kind" "K" "compile, run, campaign or figure";
     KERNEL = "--kernel" "K" "catalog kernel (default bwaves)";
     SCHEME = "--scheme" "S" "baseline or a ladder rung (default turnpike)";
@@ -245,13 +242,6 @@ const COMMANDS: &[Command] = &[
         summary: "design-space exploration; Pareto frontier artifact",
         flags: &[&[SMOKE, FULL, THREADS, WORKERS, STORE, RESUME, SEED, OUT]],
         run: explore_main,
-    },
-    Command {
-        name: "sim-throughput",
-        operand: "",
-        summary: "fault-free simulator speed, interpreter vs superblocks",
-        flags: &[&[SMOKE, FULL, REPS]],
-        run: sim_throughput_main,
     },
 ];
 
@@ -1047,101 +1037,6 @@ fn explore_main(a: &Args) -> Cli {
         ("wall_ms", wall_ms.into()),
     ]);
     record_block("explore", record);
-    Ok(ExitCode::SUCCESS)
-}
-
-/// `reproduce sim-throughput` — measure fault-free ("golden path")
-/// simulator throughput over the whole kernel catalog and record it as
-/// the `sim_throughput` block of `BENCH_reproduce.json`.
-///
-/// Each kernel x scheme cell is timed twice — per-instruction interpreter
-/// and superblock-translated dispatch — as wall-clock nanoseconds per
-/// retired instruction, min over `--reps` runs (the minimum is the right
-/// statistic for a throughput floor: noise on a quiet machine is strictly
-/// additive). Cells run sequentially on one thread so measurements never
-/// contend with each other.
-fn sim_throughput_main(a: &Args) -> Cli {
-    let scale = a.scale();
-    let reps = a.int("--reps", 1)?.unwrap_or(5);
-    let suite_key = |s: Suite| match s {
-        Suite::Cpu2006 => "cpu2006",
-        Suite::Cpu2017 => "cpu2017",
-        Suite::Splash3 => "splash3",
-    };
-    eprintln!(
-        "# sim-throughput: {} scale, min of {reps} reps per cell",
-        scale.name()
-    );
-    let mut rows = Vec::new();
-    let (mut interp_ns, mut translated_ns, mut total_insts) = (0.0f64, 0.0f64, 0u64);
-    for k in all_kernels(scale) {
-        for scheme in [Scheme::Baseline, Scheme::Turnpike] {
-            let spec = RunSpec::new(scheme);
-            let compiled = turnpike_compiler::compile(&k.program, &spec.compiler_config())
-                .map_err(|e| failed(format!("compile {}: {e}", k.name)))?;
-            let translation = Arc::new(Translation::new(&compiled.program));
-            // best[0]: interpreter; best[1]: translated.
-            let mut best = [f64::MAX; 2];
-            let (mut insts, mut cycles) = (0u64, 0u64);
-            for (slot, translate) in [(0, false), (1, true)] {
-                for _ in 0..reps {
-                    let mut cfg = spec.sim_config();
-                    cfg.translate = translate;
-                    let mut core = Core::new(&compiled.program, cfg);
-                    if translate {
-                        core.attach_translation(translation.clone());
-                    }
-                    let t0 = Instant::now();
-                    let out = core
-                        .run(&FaultPlan::none())
-                        .map_err(|e| failed(format!("run {}: {e}", k.name)))?;
-                    let wall = t0.elapsed().as_nanos() as f64;
-                    (insts, cycles) = (out.stats.insts, out.stats.cycles);
-                    best[slot] = best[slot].min(wall);
-                }
-            }
-            interp_ns += best[0];
-            translated_ns += best[1];
-            total_insts += insts;
-            let (i_ns, t_ns) = (best[0] / insts as f64, best[1] / insts as f64);
-            println!(
-                "{:9} {:8} {:9} {:>8} insts  interp {:5.1} ns/inst  translated {:5.1} ns/inst",
-                k.name,
-                suite_key(k.suite),
-                scheme.cli_name(),
-                insts,
-                i_ns,
-                t_ns,
-            );
-            rows.push(Json::obj([
-                ("suite", Json::from(suite_key(k.suite))),
-                ("kernel", k.name.into()),
-                ("scheme", scheme.cli_name().into()),
-                ("insts", insts.into()),
-                ("cycles", cycles.into()),
-                ("interp_ns_per_inst", Json::fixed(i_ns, 1)),
-                ("translated_ns_per_inst", Json::fixed(t_ns, 1)),
-            ]));
-        }
-    }
-    // The headline: wall time per retired instruction over every cell's
-    // golden run, insts-weighted — the throughput a campaign's fault-free
-    // path sees across the catalog, not a best-case cherry-pick.
-    let golden = translated_ns / total_insts as f64;
-    let interp = interp_ns / total_insts as f64;
-    println!(
-        "golden path: {golden:.1} ns/inst translated ({interp:.1} interpreted, {:.2}x)",
-        interp / golden
-    );
-    let record = Json::obj([
-        ("scale", Json::from(scale.name())),
-        ("reps", reps.into()),
-        ("golden_path_ns_per_inst", Json::fixed(golden, 1)),
-        ("interp_ns_per_inst", Json::fixed(interp, 1)),
-        ("speedup", Json::fixed(interp / golden, 2)),
-        ("kernels", Json::Arr(rows)),
-    ]);
-    record_block("sim_throughput", record);
     Ok(ExitCode::SUCCESS)
 }
 

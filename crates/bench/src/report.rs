@@ -1,15 +1,15 @@
 //! `BENCH_reproduce.json` as a merged, multi-block perf record.
 //!
 //! Every generating `reproduce` invocation — figure targets, `telemetry`,
-//! `explore`, `sim-throughput` — records its perf block here, so one
-//! command never discards another's record. The file is a single top-level
-//! JSON object keyed by block name:
+//! `explore` — records its perf block here, so one command never discards
+//! another's record. The file is a single top-level JSON object keyed by
+//! block name:
 //!
 //! ```json
 //! {
 //!   "all": {"target": "all", "wall_ms": 1234, ...},
 //!   "telemetry": {"scale": "smoke", "overhead_pct": 0.8, ...},
-//!   "sim_throughput": {"golden_path_ns_per_inst": 18.4, ...}
+//!   "explore": {"grid_raw": 864, "frontier": 12, ...}
 //! }
 //! ```
 //!
@@ -157,8 +157,8 @@ mod tests {
         write_block(&path, "all", wall_ms(1)).unwrap();
         write_block(
             &path,
-            "sim_throughput",
-            Json::obj([("golden_path_ns_per_inst", Json::from(18.0))]),
+            "telemetry",
+            Json::obj([("overhead_pct", Json::from(0.8))]),
         )
         .unwrap();
         write_block(&path, "all", wall_ms(2)).unwrap();
@@ -167,6 +167,6 @@ mod tests {
         let blocks = blocks(&doc);
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0], ("all".into(), wall_ms(2)));
-        assert_eq!(blocks[1].0, "sim_throughput");
+        assert_eq!(blocks[1].0, "telemetry");
     }
 }

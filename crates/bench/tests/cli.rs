@@ -34,7 +34,6 @@ const SUBCOMMANDS: &[(&str, &[&str], &str, &str)] = &[
     ("watch", &["watch"], "--interval-ms", "10"),
     ("telemetry", &["telemetry"], "--stop-ci", "0.7"),
     ("explore", &["explore"], "--workers", "127.0.0.1:99999"),
-    ("sim-throughput", &["sim-throughput"], "--reps", "0"),
 ];
 
 #[test]

@@ -693,18 +693,13 @@ pub fn fault_campaign_hooked(
         return Err(RunError::Canceled);
     }
     let sc = spec.sim_config();
-    // Shared accelerations, built once for the whole campaign: the
-    // superblock pre-decode of the compiled program (when the scheme's sim
-    // config enables translation), which the golden run and every strike
-    // run dispatch from, and the early-exit replay guide over the golden
-    // run's snapshots. Neither changes any simulated outcome.
-    let translation = sc
-        .translate
-        .then(|| Arc::new(Translation::new(&compiled.program)));
+    // Shared across the whole campaign, built once: the pre-decode of the
+    // compiled program, which the golden run and every strike run issue
+    // from, and the early-exit replay guide over the golden run's
+    // snapshots. Neither changes any simulated outcome.
+    let translation = Arc::new(Translation::new(&compiled.program));
     let mut core = Core::new(&compiled.program, sc.clone());
-    if let Some(tr) = &translation {
-        core.attach_translation(tr.clone());
-    }
+    core.attach_translation(translation.clone());
     let (outcome, snapshots) = match sc.snapshot_interval {
         Some(interval) => core.run_collecting_snapshots(&FaultPlan::none(), interval)?,
         None => (core.run(&FaultPlan::none())?, Vec::new()),
@@ -762,9 +757,7 @@ pub fn fault_campaign_hooked(
             Some(snap) => Core::from_snapshot(&compiled.program, snap),
             None => Core::new(&compiled.program, sc.clone()),
         };
-        if let Some(tr) = &translation {
-            core.attach_translation(tr.clone());
-        }
+        core.attach_translation(translation.clone());
         if let Some(g) = &guide {
             core.attach_replay(g);
         }

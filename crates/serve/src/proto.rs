@@ -645,6 +645,7 @@ impl WriteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn job_request_round_trips_through_the_wire() {
@@ -996,6 +997,150 @@ mod tests {
             let line = e.to_line();
             assert!(!line.contains('\n'));
             assert!(Json::parse(&line).is_ok(), "{line}");
+        }
+    }
+
+    /// Every valid request line the tests above parse.
+    fn valid_lines() -> Vec<String> {
+        let mut campaign = JobRequest::new(JobKind::Campaign);
+        campaign.kernel = "hmmer".into();
+        campaign.runs = 12;
+        campaign.seed = 99;
+        campaign.tag = "c1-j7".into();
+        let mut big_seed = JobRequest::new(JobKind::Campaign);
+        big_seed.seed = u64::MAX;
+        let mut shard = JobRequest::new(JobKind::Campaign);
+        shard.runs = 4;
+        shard.run_offset = 12;
+        let mut point = JobRequest::new(JobKind::Campaign);
+        point.clq = "cam-4".into();
+        point.colors = 8;
+        point.geom = "slim".into();
+        let jobs = [
+            campaign,
+            big_seed,
+            shard,
+            point,
+            JobRequest::new(JobKind::Run),
+        ];
+        let mut lines: Vec<String> = jobs.iter().map(JobRequest::to_line).collect();
+        for admin in [
+            "{\"type\":\"run\",\"kernel\":\"mcf\"}",
+            "{\"type\":\"stats\"}",
+            "{\"type\":\"metrics\"}",
+            "{\"type\":\"shutdown\"}",
+        ] {
+            lines.push(admin.to_string());
+        }
+        lines
+    }
+
+    /// Parse `bytes` (lossily decoded, as a server reading a torn or
+    /// corrupted line would see it) and fail with the input if it panics.
+    fn parse_must_not_panic(bytes: &[u8]) -> Result<Request, String> {
+        let line = String::from_utf8_lossy(bytes);
+        std::panic::catch_unwind(|| Request::parse(&line))
+            .unwrap_or_else(|_| panic!("Request::parse panicked on {line:?}"))
+    }
+
+    #[test]
+    fn parse_survives_every_truncation_and_byte_flip() {
+        for line in valid_lines() {
+            let bytes = line.as_bytes();
+            assert!(parse_must_not_panic(bytes).is_ok(), "{line}");
+            for cut in 0..bytes.len() {
+                parse_must_not_panic(&bytes[..cut]).expect_err(&line[..cut]);
+            }
+            for at in 0..bytes.len() {
+                for b in 0..=u8::MAX {
+                    let mut flipped = bytes.to_vec();
+                    flipped[at] = b;
+                    let _ = parse_must_not_panic(&flipped);
+                }
+            }
+        }
+    }
+
+    /// A JSON number token, often far outside `u64` and `f64` range:
+    /// optional sign, up to 400 integer digits, an optional fraction and an
+    /// optional exponent of up to four digits.
+    struct NumberToken;
+
+    impl Strategy for NumberToken {
+        type Value = String;
+
+        fn generate(&self, rng: &mut TestRng) -> String {
+            let digits = |rng: &mut TestRng, n: usize| -> String {
+                (0..n)
+                    .map(|_| char::from(b'0' + rng.below(10) as u8))
+                    .collect()
+            };
+            let mut t = String::new();
+            if rng.below(4) == 0 {
+                t.push('-');
+            }
+            let max_digits = if rng.below(2) == 0 { 22 } else { 400 };
+            let n = 1 + rng.below(max_digits);
+            let int = digits(rng, n);
+            t.push_str(int.trim_start_matches('0'));
+            if t.is_empty() || t == "-" {
+                t.push('0');
+            }
+            if rng.below(4) == 0 {
+                t.push('.');
+                let n = 1 + rng.below(6);
+                t.push_str(&digits(rng, n));
+            }
+            if rng.below(3) == 0 {
+                t.push(['e', 'E'][rng.below(2)]);
+                t.push_str(["", "+", "-"][rng.below(3)]);
+                let n = 1 + rng.below(4);
+                t.push_str(&digits(rng, n));
+            }
+            t
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// An integer field accepts exactly the tokens that are `u64`
+        /// literals and takes their exact value; every other number —
+        /// negative, fractional, exponent or past `u64::MAX` — is an error
+        /// naming the field, never a panic or a wrapped value.
+        #[test]
+        fn integer_fields_take_exact_u64_values_or_name_the_field(
+            field in prop::sample::select(vec![
+                "sb", "wcdl", "runs", "seed", "strikes", "run_offset", "colors",
+            ]),
+            token in prop_oneof![
+                NumberToken,
+                prop::sample::select(vec![
+                    "18446744073709551615".to_string(),
+                    "18446744073709551616".to_string(),
+                    "1e400".to_string(),
+                    "-1e400".to_string(),
+                    "1e-400".to_string(),
+                ]),
+            ],
+        ) {
+            let line = format!("{{\"type\":\"campaign\",\"{field}\":{token}}}");
+            match parse_must_not_panic(line.as_bytes()) {
+                Ok(Request::Job(req)) => {
+                    let got = match field {
+                        "sb" => u64::from(req.sb),
+                        "wcdl" => req.wcdl,
+                        "runs" => req.runs,
+                        "seed" => req.seed,
+                        "strikes" => req.strikes,
+                        "run_offset" => req.run_offset,
+                        _ => req.colors,
+                    };
+                    prop_assert_eq!(token.parse::<u64>().ok(), Some(got), "{}", line);
+                }
+                Ok(other) => panic!("{line}: parsed as {other:?}"),
+                Err(e) => prop_assert!(e.contains(field), "{line}: {e}"),
+            }
         }
     }
 }

@@ -88,10 +88,10 @@ pub struct SimConfig {
     /// quiet state (no pending faults/detections, no trace sink, no
     /// corruption flag). Pure execution strategy: results, stats,
     /// snapshots and early-exit probes are bit-identical with it on or
-    /// off — `false` forces the per-instruction interpreter everywhere
-    /// (the reference path CI diffs against). Defaults to `true`; the
-    /// `TURNPIKE_TRANSLATE=0` environment variable flips the preset
-    /// default off process-wide.
+    /// off — `false` takes the per-instruction loop (`issue::<false>`)
+    /// everywhere (the reference path CI diffs against). Defaults to
+    /// `true`; the `TURNPIKE_TRANSLATE=0` environment variable flips the
+    /// preset default off process-wide.
     pub translate: bool,
     /// Snapshot cadence (cycles) for fault campaigns: the fault-free golden
     /// run captures a copy-on-write [`CoreSnapshot`](crate::CoreSnapshot)

@@ -29,13 +29,11 @@ use crate::rbb::Rbb;
 use crate::stats::{SimHists, SimStats};
 use crate::store_buffer::{EntryKind, SbEntry, StoreBuffer};
 use crate::trace::{StallKind, TraceEvent, TraceSink};
-use crate::translate::{DAddr, DKind, DOperand, Translation};
+use crate::translate::{decode, DAddr, DKind, DOperand, DecodedOp, Translation};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
-use turnpike_isa::{
-    MOperand, MachAddr, MachInst, MachProgram, PhysReg, ProtectionMode, RegionId, NUM_PHYS_REGS,
-};
+use turnpike_isa::{MachProgram, ProtectionMode, RegionId, NUM_PHYS_REGS};
 use turnpike_metrics::Counter;
 
 /// Simulation failure.
@@ -509,9 +507,8 @@ pub struct Core<'a> {
     next_snap: u64,
     /// Captured snapshots, in cycle order.
     snapshots: Vec<CoreSnapshot>,
-    /// Pre-decoded superblocks for the fast dispatch path
-    /// ([`SimConfig::translate`]). Built lazily on first entry into a quiet
-    /// state, or shared across runs of one program via
+    /// The pre-decoded program both dispatch loops issue from. Built when
+    /// a run starts, or shared across runs of one program via
     /// [`Core::attach_translation`] (fault campaigns translate once).
     translation: Option<Arc<Translation>>,
     /// Early-exit replay guide with its remaining deep-compare budget.
@@ -718,7 +715,7 @@ impl<'a> Core<'a> {
     /// where [`MachProgram::live_in`] sets the bit at the probe PC. This is
     /// sound: a probe happens only in a quiet state, where no strike,
     /// detection or recovery can happen again (and the golden run is
-    /// fault-free), so the instructions' [`MachInst::uses`] are the only
+    /// fault-free), so the instructions' source operands are the only
     /// readers of a register from here on. A register that is not live-in
     /// at the PC is overwritten before any read on every path, so its value
     /// reaches no computed value, address, branch, store, checkpoint,
@@ -809,17 +806,19 @@ impl<'a> Core<'a> {
     }
 
     fn run_loop(&mut self) -> Result<SimOutcome, SimError> {
+        let tr = self
+            .translation
+            .get_or_insert_with(|| Arc::new(Translation::new(self.program)))
+            .clone();
         loop {
-            // Quiet state + translation enabled: dispatch pre-decoded
-            // superblocks until the program returns. The fast path performs
-            // the same per-instruction work as the interpreter below minus
-            // the parts the quiet guard proves are no-ops, so results are
-            // bit-identical (see `fast_path_quiet`). A core holding a replay
-            // guide or a snapshot schedule takes the hooked instance, which
-            // runs the interpreter's `prologue`; every other core takes the
-            // plain one, whose loop has no hook at all.
+            // Quiet state + translation enabled: dispatch superblocks until
+            // the program returns. They issue through the quiet instance of
+            // `issue`, which skips only the work the quiet guard proves is a
+            // no-op, so results are bit-identical (see `fast_path_quiet`). A
+            // core holding a replay guide or a snapshot schedule takes the
+            // hooked loop, which runs the `prologue`; every other core takes
+            // the plain one, whose loop has no hook at all.
             if self.cfg.translate && self.fast_path_quiet() {
-                let tr = self.ensure_translation();
                 let done = if self.replay.is_some() || self.snap_every != 0 {
                     self.run_superblocks::<true>(&tr)?
                 } else {
@@ -829,7 +828,7 @@ impl<'a> Core<'a> {
                     return Ok(out);
                 }
                 // Fast path bailed (PC out of range, or a state change that
-                // ended quiescence): fall through to the interpreter.
+                // ended quiescence): fall through to the per-instruction loop.
             }
             if let Some(out) = self.prologue::<false>()? {
                 return Ok(out);
@@ -839,13 +838,12 @@ impl<'a> Core<'a> {
             // Fire strikes and detections that are due.
             self.process_faults();
 
-            let inst = *self
-                .program
-                .insts
+            let dop = tr
+                .ops
                 .get(self.pc as usize)
                 .ok_or(SimError::PcOutOfRange(self.pc))?;
 
-            if let Some(ret) = self.step(inst)? {
+            if let Issued::Ret(ret) = self.issue::<false>(dop)? {
                 // Completion is only certifiable once the verification tail
                 // is clean: a strike still in flight whose detection lands
                 // within the tail invalidates the final regions, so recover
@@ -939,12 +937,13 @@ impl<'a> Core<'a> {
         self.next_snap = self.cycle + self.snap_every;
     }
 
-    /// Whether the core is *quiet*: every piece of per-iteration work the
-    /// interpreter loop performs besides the [`Core::prologue`] and issuing
-    /// the instruction is provably a no-op — no trace sink is attached, no
-    /// strike or detection is pending or future, and no corruption flag is
-    /// set. Quiet states admit the superblock fast path (the prologue's
-    /// probe and capture are not no-ops, so the hooked loop runs them):
+    /// Whether the core is *quiet*: the per-instruction loop's fault
+    /// processing and the parity and taint work of [`Core::issue`] are
+    /// provably no-ops — no trace sink is attached, no strike or detection
+    /// is pending or future, and no corruption flag is set. Quiet states
+    /// admit the superblock fast path and its quiet `issue` instance (the
+    /// prologue's probe and capture are not no-ops, so the hooked loop runs
+    /// them):
     ///
     /// * `process_faults` can fire nothing, so no recovery, parity trip, or
     ///   datapath corruption can occur mid-block;
@@ -961,12 +960,6 @@ impl<'a> Core<'a> {
             && self.pending_datapath.is_none()
             && self.parity_bad == NO_FLAGS
             && self.tainted == NO_FLAGS
-    }
-
-    fn ensure_translation(&mut self) -> Arc<Translation> {
-        self.translation
-            .get_or_insert_with(|| Arc::new(Translation::new(self.program)))
-            .clone()
     }
 
     /// Probe the replay guide's snapshots `cands` (captured at the current
@@ -1234,27 +1227,28 @@ impl<'a> Core<'a> {
 
     /// Execute pre-decoded superblocks until the run ends (`Ok(Some(_))`:
     /// the program returned, or a `HOOKED` probe proved an early exit) or
-    /// the fast path must hand back to the interpreter (`Ok(None)`: the PC
-    /// left the program, or — defensively — an issue helper reported a
-    /// recovery redirect that cannot happen while quiet).
+    /// the fast path must hand back to the per-instruction loop
+    /// (`Ok(None)`: the PC left the program, or — defensively — an issue
+    /// helper reported a recovery redirect that cannot happen while quiet).
     ///
-    /// Per instruction this performs exactly the interpreter's sequence —
-    /// prologue, settle, fetch-redirect gate, operand wait, issue through
-    /// the same helpers — with the fault, parity, taint, and trace work
-    /// elided per the [`Core::fast_path_quiet`] proof, so cycles, stats,
-    /// and architectural state are bit-identical. The plain instance
-    /// (`HOOKED = false`, no guide and no snapshot schedule) reduces the
-    /// prologue to its cycle-limit check.
+    /// Per instruction this runs the per-instruction loop's sequence —
+    /// prologue, settle, [`Core::issue`] — without its fault processing,
+    /// through the quiet instance of `issue`, per the
+    /// [`Core::fast_path_quiet`] proof, so cycles, stats, and architectural
+    /// state are bit-identical. The plain instance (`HOOKED = false`, no
+    /// guide and no snapshot schedule) reduces the prologue to its
+    /// cycle-limit check.
     fn run_superblocks<const HOOKED: bool>(
         &mut self,
         tr: &Translation,
     ) -> Result<Option<SimOutcome>, SimError> {
         debug_assert!(self.cfg.translate && self.fast_path_quiet());
-        'blocks: loop {
+        loop {
             let pc = self.pc as usize;
             let Some(&run) = tr.run_len.get(pc) else {
-                return Ok(None); // out of range: the interpreter raises it
+                return Ok(None); // out of range: the per-instruction loop raises it
             };
+            // A block is a run of straight-line ops or one control op.
             let n = (run as usize).max(1);
             for dop in &tr.ops[pc..pc + n] {
                 if HOOKED {
@@ -1265,128 +1259,165 @@ impl<'a> Core<'a> {
                     self.check_cycle_limit()?;
                 }
                 self.settle(self.cycle);
-                // Fetch redirect gate.
-                self.wait_until(self.fetch_ready, StallCause::None);
-                // Operand readiness over the pre-decoded source slots.
-                let mut ready = 0u64;
-                for &r in &dop.srcs[..dop.nsrcs as usize] {
-                    ready = ready.max(self.reg_ready[r as usize]);
+                match self.issue::<true>(dop)? {
+                    Issued::Next => {}
+                    Issued::Redirected => return Ok(None), // unreachable while quiet
+                    // Quiet implies no detection can land in the tail
+                    // (`next_detection_bound` is infinite), so completion
+                    // is certifiable immediately.
+                    Issued::Ret(ret) => return self.finish(ret).map(Some),
                 }
-                self.wait_until(
-                    ready,
-                    StallCause::Data {
-                        is_ckpt: matches!(dop.kind, DKind::Ckpt { .. }),
-                    },
-                );
-                match dop.kind {
-                    DKind::Bin {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        lat,
-                    } => {
-                        self.take_slot(false);
-                        let v = op.eval(self.regs[lhs as usize], self.dread(rhs));
-                        self.define_quiet(dst, v, self.cycle + lat);
-                    }
-                    DKind::Cmp { op, dst, lhs, rhs } => {
-                        self.take_slot(false);
-                        let v = op.eval(self.regs[lhs as usize], self.dread(rhs));
-                        self.define_quiet(dst, v, self.cycle + 1);
-                    }
-                    DKind::Mov { dst, src } => {
-                        self.take_slot(false);
-                        let v = self.dread(src);
-                        self.define_quiet(dst, v, self.cycle + 1);
-                    }
-                    DKind::Load {
-                        dst,
-                        addr,
-                        ckpt_slot,
-                    } => {
-                        if self.mem_left == 0 {
-                            self.wait_until(self.cycle + 1, StallCause::MemPort);
-                        }
-                        self.take_slot(true);
-                        let a = self.dresolve(addr);
-                        let (value, latency) = if ckpt_slot {
-                            // Only recovery blocks use this mode; L1 access.
-                            (self.ckpt_memory.get(a).unwrap_or(0), self.cfg.l1_hit)
-                        } else if let Some(v) = self.sb.forward(a) {
-                            (v, 1) // store-to-load forwarding
-                        } else {
-                            let lat = self.caches.access(a, self.cycle);
-                            (self.memory.get(a).unwrap_or(0), lat)
-                        };
-                        self.define_quiet(dst, value, self.cycle + latency);
-                        self.stats.loads += 1;
-                        if self.cfg.resilient && !ckpt_slot {
-                            let seq = self.rbb.current_seq();
-                            self.clq.record_load(a, seq);
-                        }
-                    }
-                    DKind::Store { src, addr } => {
-                        if self.mem_left == 0 {
-                            self.wait_until(self.cycle + 1, StallCause::MemPort);
-                        }
-                        let a = self.dresolve(addr);
-                        let value = self.dread(src);
-                        self.stats.stores += 1;
-                        if !self.do_store(a, value)? {
-                            return Ok(None); // unreachable while quiet
-                        }
-                    }
-                    DKind::Ckpt { reg } => {
-                        if self.mem_left == 0 {
-                            self.wait_until(self.cycle + 1, StallCause::MemPort);
-                        }
-                        let value = self.regs[reg as usize];
-                        self.stats.ckpts += 1;
-                        if !self.do_ckpt(reg, value)? {
-                            return Ok(None); // unreachable while quiet
-                        }
-                    }
-                    DKind::Boundary { id } => {
-                        if self.cfg.resilient && !self.exec_boundary(id)? {
-                            return Ok(None); // unreachable while quiet
-                        }
-                    }
-                    DKind::Jump { target } => {
-                        self.take_slot(false);
-                        self.count_inst();
-                        self.pc = u64::from(target);
-                        self.fetch_ready = self.cycle + 1 + self.cfg.jump_penalty;
-                        continue 'blocks;
-                    }
-                    DKind::BranchNz { cond, target } => {
-                        self.take_slot(false);
-                        self.count_inst();
-                        if self.regs[cond as usize] != 0 {
-                            self.pc = u64::from(target);
-                            self.fetch_ready = self.cycle + 1 + self.cfg.branch_penalty;
-                        } else {
-                            self.pc += 1;
-                        }
-                        continue 'blocks;
-                    }
-                    DKind::Ret { value } => {
-                        self.take_slot(false);
-                        self.count_inst();
-                        // Quiet implies no detection can land in the tail
-                        // (`next_detection_bound` is infinite), so
-                        // completion is certifiable immediately.
-                        let ret = value.map(|v| self.dread(v));
-                        return self.finish(ret).map(Some);
-                    }
-                    DKind::Nop => {
-                        self.take_slot(false);
-                    }
-                }
-                self.count_inst();
-                self.pc += 1;
             }
         }
+    }
+
+    /// Issue one pre-decoded instruction: the fetch-redirect gate, the
+    /// register parity and hardened AGU/branch checks, the operand wait,
+    /// then the operation through the shared timing and store/checkpoint
+    /// helpers. Both dispatch loops issue through it.
+    ///
+    /// The `QUIET` instance is for cores [`Core::fast_path_quiet`] holds
+    /// for: no register is parity-flagged or tainted and no datapath
+    /// corruption is pending, so it skips the parity and taint checks and
+    /// the flag updates of [`Core::define`], which would all be no-ops.
+    #[inline(always)]
+    fn issue<const QUIET: bool>(&mut self, dop: &DecodedOp) -> Result<Issued, SimError> {
+        let srcs = &dop.srcs[..dop.nsrcs as usize];
+        // Fetch redirect gate.
+        self.wait_until(self.fetch_ready, StallCause::None);
+        // The unprotected baseline core has no parity or recovery.
+        if !QUIET && self.cfg.resilient {
+            // Hardened AGU / branch path: a datapath-corrupted value feeding
+            // a store's address base or a branch condition is caught
+            // immediately.
+            let hardened = match dop.kind {
+                DKind::Store {
+                    addr: DAddr::RegOff(b, _),
+                    ..
+                }
+                | DKind::BranchNz { cond: b, .. } => Some(b),
+                _ => None,
+            };
+            // Parity check on register read (models per-register parity).
+            if srcs.iter().any(|&r| self.parity_bad[r as usize])
+                || hardened.is_some_and(|b| self.tainted[b as usize])
+            {
+                self.note_parity_detection();
+                self.trigger_recovery(self.cycle, self.cycle);
+                return Ok(Issued::Redirected);
+            }
+        }
+        // Operand readiness.
+        let mut ready = 0u64;
+        for &r in srcs {
+            ready = ready.max(self.reg_ready[r as usize]);
+        }
+        self.wait_until(
+            ready,
+            StallCause::Data {
+                is_ckpt: matches!(dop.kind, DKind::Ckpt { .. }),
+            },
+        );
+        let taint = !QUIET && srcs.iter().any(|&r| self.tainted[r as usize]);
+        let mut next_pc = self.pc + 1;
+        match dop.kind {
+            DKind::Bin {
+                op,
+                dst,
+                lhs,
+                rhs,
+                lat,
+            } => {
+                self.take_slot(false);
+                let v = op.eval(self.regs[lhs as usize], self.dread(rhs));
+                self.define::<QUIET>(dst, v, self.cycle + lat, taint);
+            }
+            DKind::Cmp { op, dst, lhs, rhs } => {
+                self.take_slot(false);
+                let v = op.eval(self.regs[lhs as usize], self.dread(rhs));
+                self.define::<QUIET>(dst, v, self.cycle + 1, taint);
+            }
+            DKind::Mov { dst, src } => {
+                self.take_slot(false);
+                let v = self.dread(src);
+                self.define::<QUIET>(dst, v, self.cycle + 1, taint);
+            }
+            DKind::Load {
+                dst,
+                addr,
+                ckpt_slot,
+            } => {
+                if self.mem_left == 0 {
+                    self.wait_until(self.cycle + 1, StallCause::MemPort);
+                }
+                self.take_slot(true);
+                let a = self.dresolve(addr);
+                let (value, latency) = if ckpt_slot {
+                    // Only recovery blocks use this mode; L1 access.
+                    (self.ckpt_memory.get(a).unwrap_or(0), self.cfg.l1_hit)
+                } else if let Some(v) = self.sb.forward(a) {
+                    (v, 1) // store-to-load forwarding
+                } else {
+                    let lat = self.caches.access(a, self.cycle);
+                    (self.memory.get(a).unwrap_or(0), lat)
+                };
+                self.define::<QUIET>(dst, value, self.cycle + latency, taint);
+                self.stats.loads += 1;
+                if self.cfg.resilient && !ckpt_slot {
+                    let seq = self.rbb.current_seq();
+                    self.clq.record_load(a, seq);
+                }
+            }
+            DKind::Store { src, addr } => {
+                if self.mem_left == 0 {
+                    self.wait_until(self.cycle + 1, StallCause::MemPort);
+                }
+                let a = self.dresolve(addr);
+                let value = self.dread(src);
+                self.stats.stores += 1;
+                if !self.do_store(a, value)? {
+                    return Ok(Issued::Redirected);
+                }
+            }
+            DKind::Ckpt { reg } => {
+                if self.mem_left == 0 {
+                    self.wait_until(self.cycle + 1, StallCause::MemPort);
+                }
+                let value = self.regs[reg as usize];
+                self.stats.ckpts += 1;
+                if !self.do_ckpt(reg, value)? {
+                    return Ok(Issued::Redirected);
+                }
+            }
+            DKind::Boundary { id } => {
+                if self.cfg.resilient && !self.exec_boundary(id)? {
+                    return Ok(Issued::Redirected);
+                }
+            }
+            DKind::Jump { target } => {
+                self.take_slot(false);
+                next_pc = u64::from(target);
+                self.fetch_ready = self.cycle + 1 + self.cfg.jump_penalty;
+            }
+            DKind::BranchNz { cond, target } => {
+                self.take_slot(false);
+                if self.regs[cond as usize] != 0 {
+                    next_pc = u64::from(target);
+                    self.fetch_ready = self.cycle + 1 + self.cfg.branch_penalty;
+                }
+            }
+            DKind::Ret { value } => {
+                self.take_slot(false);
+                self.count_inst();
+                return Ok(Issued::Ret(value.map(|v| self.dread(v))));
+            }
+            DKind::Nop => {
+                self.take_slot(false);
+            }
+        }
+        self.count_inst();
+        self.pc = next_pc;
+        Ok(Issued::Next)
     }
 
     fn dread(&self, op: DOperand) -> i64 {
@@ -1404,13 +1435,28 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// [`Core::define`] specialized to the quiet fast path: no datapath
-    /// corruption can be pending and no source is tainted, so the parity
-    /// and taint flags — already false for every register — stay false.
-    fn define_quiet(&mut self, dst: u8, value: i64, ready_at: u64) {
-        debug_assert!(self.pending_datapath.is_none());
-        self.regs[dst as usize] = value;
-        self.reg_ready[dst as usize] = ready_at;
+    /// Write `value` to `dst`, ready at `ready_at`. A pending datapath
+    /// strike corrupts it (tainting it when the region detects), a write
+    /// clears the register's parity flag, and the result is tainted when a
+    /// source was. The `QUIET` instance ([`Core::issue`]) writes the value
+    /// and readiness only: no strike is pending and every flag is already
+    /// clear.
+    #[inline(always)]
+    fn define<const QUIET: bool>(&mut self, dst: u8, value: i64, ready_at: u64, taint: bool) {
+        let d = dst as usize;
+        let (mut v, mut t) = (value, taint);
+        if QUIET {
+            debug_assert!(self.pending_datapath.is_none() && !taint);
+        } else if let Some((bit, detectable)) = self.pending_datapath.take() {
+            v ^= 1i64 << bit;
+            t = t || detectable;
+        }
+        self.regs[d] = v;
+        self.reg_ready[d] = ready_at;
+        if !QUIET {
+            self.parity_bad[d] = false;
+            self.tainted[d] = t;
+        }
     }
 
     /// Earliest pending or future error-detection instant. Verification and
@@ -1572,11 +1618,6 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Parity/hardening detection: a corrupted register was accessed.
-    fn access_check(&mut self, srcs: &[PhysReg]) -> bool {
-        srcs.iter().any(|r| self.parity_bad[r.index()])
-    }
-
     /// `detect_at` is the instant the error was detected (the sensor
     /// interrupt time); `now` is the issue cycle at which the core notices,
     /// which can be later when the event-skip clock leapt over `detect_at`.
@@ -1624,23 +1665,34 @@ impl<'a> Core<'a> {
         // Execute the recovery block functionally, charging its cycles.
         let mut cost = self.cfg.recovery_flush_cycles;
         if let Some(block) = self.program.recovery.get(&target.static_id) {
-            for inst in &block.insts {
-                cost += match *inst {
-                    MachInst::Load { dst, addr } => {
-                        let a = self.resolve_addr(addr);
-                        self.regs[dst.index()] = self.read_mem_for_recovery(addr, a);
+            for &inst in &block.insts {
+                cost += match decode(inst).kind {
+                    DKind::Load {
+                        dst,
+                        addr,
+                        ckpt_slot,
+                    } => {
+                        let a = self.dresolve(addr);
+                        let mem = if ckpt_slot {
+                            &self.ckpt_memory
+                        } else {
+                            &self.memory
+                        };
+                        self.regs[dst as usize] = mem.get(a).unwrap_or(0);
                         self.cfg.l1_hit
                     }
-                    MachInst::Bin { op, dst, lhs, rhs } => {
-                        self.regs[dst.index()] = op.eval(self.regs[lhs.index()], self.read_op(rhs));
+                    DKind::Bin {
+                        op, dst, lhs, rhs, ..
+                    } => {
+                        self.regs[dst as usize] = op.eval(self.regs[lhs as usize], self.dread(rhs));
                         1
                     }
-                    MachInst::Cmp { op, dst, lhs, rhs } => {
-                        self.regs[dst.index()] = op.eval(self.regs[lhs.index()], self.read_op(rhs));
+                    DKind::Cmp { op, dst, lhs, rhs } => {
+                        self.regs[dst as usize] = op.eval(self.regs[lhs as usize], self.dread(rhs));
                         1
                     }
-                    MachInst::Mov { dst, src } => {
-                        self.regs[dst.index()] = self.read_op(src);
+                    DKind::Mov { dst, src } => {
+                        self.regs[dst as usize] = self.dread(src);
                         1
                     }
                     _ => 1,
@@ -1662,30 +1714,6 @@ impl<'a> Core<'a> {
             target_seq: target.seq,
             resume_pc: target.entry_pc,
         });
-    }
-
-    fn read_mem_for_recovery(&self, addr: MachAddr, resolved: u64) -> i64 {
-        match addr {
-            MachAddr::CkptSlot(_) => self.ckpt_memory.get(resolved).unwrap_or(0),
-            _ => self.memory.get(resolved).unwrap_or(0),
-        }
-    }
-
-    fn read_op(&self, op: MOperand) -> i64 {
-        match op {
-            MOperand::Reg(r) => self.regs[r.index()],
-            MOperand::Imm(v) => v,
-        }
-    }
-
-    fn resolve_addr(&self, addr: MachAddr) -> u64 {
-        match addr {
-            MachAddr::RegOffset(b, o) => self.regs[b.index()].wrapping_add(o) as u64,
-            MachAddr::Abs(a) => a,
-            MachAddr::CkptSlot(r) => {
-                turnpike_ir::ckpt_slot_addr(r.raw(), self.coloring.verified_color(r.raw()))
-            }
-        }
     }
 
     /// Advance the issue clock to at least `t`, accounting the stall to
@@ -1749,14 +1777,6 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Earliest cycle all of `srcs` are available.
-    fn operands_ready(&self, srcs: &[PhysReg]) -> u64 {
-        srcs.iter()
-            .map(|r| self.reg_ready[r.index()])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Protection switches for a static region, defaulting out-of-range ids
     /// (region 0 of a region-free program, the pseudo-boundary closing the
     /// final region) to the config's own switches.
@@ -1772,147 +1792,6 @@ impl<'a> Core<'a> {
     #[inline]
     fn region_flags(&self) -> ModeFlags {
         self.flags_for(self.rbb.current().static_id)
-    }
-
-    fn define(&mut self, dst: PhysReg, value: i64, ready_at: u64, taint: bool) {
-        let mut v = value;
-        let mut t = taint;
-        if let Some((bit, detectable)) = self.pending_datapath.take() {
-            v ^= 1i64 << bit;
-            t = t || detectable;
-        }
-        self.regs[dst.index()] = v;
-        self.reg_ready[dst.index()] = ready_at;
-        self.parity_bad[dst.index()] = false;
-        self.tainted[dst.index()] = t;
-    }
-
-    fn srcs_tainted(&self, srcs: &[PhysReg]) -> bool {
-        srcs.iter().any(|r| self.tainted[r.index()])
-    }
-
-    /// Issue one instruction; `Ok(Some(ret))` on program end.
-    fn step(&mut self, inst: MachInst) -> Result<Option<Option<i64>>, SimError> {
-        let srcs = inst.uses();
-        // Fetch redirect gate.
-        self.wait_until(self.fetch_ready, StallCause::None);
-        // Parity check on register access (models per-register parity).
-        // The unprotected baseline core has no parity or recovery.
-        if self.cfg.resilient && self.access_check(&srcs) {
-            self.note_parity_detection();
-            self.trigger_recovery(self.cycle, self.cycle);
-            return Ok(None);
-        }
-        // Hardened AGU / branch-path assumption: a datapath-corrupted value
-        // feeding an address base or branch condition is caught immediately.
-        let addr_base: Option<PhysReg> = match inst {
-            MachInst::Store { addr, .. } | MachInst::Load { addr, .. } => addr.base(),
-            MachInst::BranchNz { cond, .. } => Some(cond),
-            _ => None,
-        };
-        if let Some(b) = addr_base {
-            if self.cfg.resilient
-                && self.tainted[b.index()]
-                && matches!(inst, MachInst::Store { .. } | MachInst::BranchNz { .. })
-            {
-                self.note_parity_detection();
-                self.trigger_recovery(self.cycle, self.cycle);
-                return Ok(None);
-            }
-        }
-
-        // Operand readiness.
-        let ready = self.operands_ready(&srcs);
-        self.wait_until(
-            ready,
-            StallCause::Data {
-                is_ckpt: inst.is_ckpt(),
-            },
-        );
-
-        let taint = self.srcs_tainted(&srcs);
-        let mut next_pc = self.pc + 1;
-
-        match inst {
-            MachInst::Bin { op, dst, lhs, rhs } => {
-                self.take_slot(false);
-                let v = op.eval(self.regs[lhs.index()], self.read_op(rhs));
-                self.define(dst, v, self.cycle + u64::from(inst.latency()), taint);
-            }
-            MachInst::Cmp { op, dst, lhs, rhs } => {
-                self.take_slot(false);
-                let v = op.eval(self.regs[lhs.index()], self.read_op(rhs));
-                self.define(dst, v, self.cycle + 1, taint);
-            }
-            MachInst::Mov { dst, src } => {
-                self.take_slot(false);
-                let v = self.read_op(src);
-                self.define(dst, v, self.cycle + 1, taint);
-            }
-            MachInst::Load { dst, addr } => {
-                if self.mem_left == 0 {
-                    self.wait_until(self.cycle + 1, StallCause::MemPort);
-                }
-                self.take_slot(true);
-                let a = self.resolve_addr(addr);
-                let (value, latency) = self.do_load(addr, a);
-                self.define(dst, value, self.cycle + latency, taint);
-                self.stats.loads += 1;
-                if self.cfg.resilient && !matches!(addr, MachAddr::CkptSlot(_)) {
-                    let seq = self.rbb.current_seq();
-                    self.clq.record_load(a, seq);
-                }
-            }
-            MachInst::Store { src, addr } => {
-                if self.mem_left == 0 {
-                    self.wait_until(self.cycle + 1, StallCause::MemPort);
-                }
-                let a = self.resolve_addr(addr);
-                let value = self.read_op(src);
-                self.stats.stores += 1;
-                if !self.do_store(a, value)? {
-                    return Ok(None); // abandoned: recovery redirected the PC
-                }
-            }
-            MachInst::Ckpt { reg } => {
-                if self.mem_left == 0 {
-                    self.wait_until(self.cycle + 1, StallCause::MemPort);
-                }
-                let value = self.regs[reg.index()];
-                self.stats.ckpts += 1;
-                if !self.do_ckpt(reg.raw(), value)? {
-                    return Ok(None); // abandoned: recovery redirected the PC
-                }
-            }
-            MachInst::RegionBoundary { id } => {
-                if self.cfg.resilient && !self.exec_boundary(id)? {
-                    return Ok(None);
-                }
-            }
-            MachInst::Jump { target } => {
-                self.take_slot(false);
-                next_pc = target as u64;
-                self.fetch_ready = self.cycle + 1 + self.cfg.jump_penalty;
-            }
-            MachInst::BranchNz { cond, target } => {
-                self.take_slot(false);
-                if self.regs[cond.index()] != 0 {
-                    next_pc = target as u64;
-                    self.fetch_ready = self.cycle + 1 + self.cfg.branch_penalty;
-                }
-            }
-            MachInst::Ret { value } => {
-                self.take_slot(false);
-                self.count_inst();
-                return Ok(Some(value.map(|v| self.read_op(v))));
-            }
-            MachInst::Nop => {
-                self.take_slot(false);
-            }
-        }
-        self.count_inst();
-        self.pc = next_pc;
-        Ok(None)
     }
 
     /// Pass a region boundary (resilient cores only): allocate an RBB
@@ -1977,19 +1856,6 @@ impl<'a> Core<'a> {
         if let Some(h) = self.hists.as_mut() {
             let lat = self.last_strike.map_or(0, |s| self.cycle.saturating_sub(s));
             h.detect_latency.record(lat);
-        }
-    }
-
-    fn do_load(&mut self, addr: MachAddr, a: u64) -> (i64, u64) {
-        if let MachAddr::CkptSlot(_) = addr {
-            // Only recovery blocks use this mode; treat as L1 access.
-            return (self.ckpt_memory.get(a).unwrap_or(0), self.cfg.l1_hit);
-        }
-        if let Some(v) = self.sb.forward(a) {
-            (v, 1) // store-to-load forwarding
-        } else {
-            let lat = self.caches.access(a, self.cycle);
-            (self.memory.get(a).unwrap_or(0), lat)
         }
     }
 
@@ -2177,6 +2043,17 @@ impl<'a> Core<'a> {
     }
 }
 
+/// What [`Core::issue`] did with one instruction.
+enum Issued {
+    /// Issued; the PC moved on (to the next instruction or a branch target).
+    Next,
+    /// A check or a stall ran into an error detection: recovery moved the
+    /// PC, and the instruction runs again after the recovery block.
+    Redirected,
+    /// The program returned this value.
+    Ret(Option<i64>),
+}
+
 /// Stall attribution for the accounting in [`SimStats`].
 #[derive(Debug, Clone, Copy)]
 enum StallCause {
@@ -2191,7 +2068,7 @@ enum StallCause {
 mod tests {
     use super::*;
     use turnpike_ir::{BinOp, CmpOp, DataSegment};
-    use turnpike_isa::{MachProgram, RegionId};
+    use turnpike_isa::{MOperand, MachAddr, MachInst, PhysReg};
 
     fn r(i: u8) -> PhysReg {
         PhysReg::new(i).unwrap()

@@ -1,35 +1,32 @@
-//! Superblock pre-decode for the fast golden-path dispatch.
+//! Pre-decode of a program into the ops the core issues.
 //!
-//! The interpreter's [`Core::step`](crate::Core) re-derives everything it
-//! needs from the [`MachInst`] on every dynamic instruction: the source
+//! Everything the core's issue step needs from a [`MachInst`] — the source
 //! register set (`uses`), the addressing-mode base, the latency class, the
-//! checkpoint flag. None of that changes between executions of the same
-//! static instruction, so a [`Translation`] computes it once per program:
+//! checkpoint flag — is fixed per static instruction, so a [`Translation`]
+//! computes it once per program:
 //!
 //! * every instruction becomes a `DecodedOp` with its operand slots
 //!   (source registers as a flat array), its destination, its latency, and
-//!   its resolved addressing mode;
+//!   its resolved addressing mode (`decode` is the crate's one mapping
+//!   from a `MachInst` to an operation; recovery blocks go through it too);
 //! * consecutive non-control instructions are grouped into **superblocks**:
 //!   `run_len[pc]` is the number of straight-line ops starting at `pc`
 //!   before the next control-flow instruction. The core's fast path
-//!   dispatches one superblock at a time — the fetch-redirect gate is
-//!   hoisted to the block head (only a taken branch or a recovery can move
-//!   it, and both end a block), and the per-instruction loop touches only
-//!   pre-decoded fields.
+//!   dispatches one superblock at a time, so its inner loop only walks a
+//!   slice of ops; every op still passes the fetch-redirect gate, the
+//!   operand wait and the settle, exactly as in the per-instruction loop.
 //!
-//! Translation is purely an execution strategy: the fast path issues the
-//! same helper calls (`wait_until`, `take_slot`, `define`, the store/ckpt
-//! paths, `settle`) in the same order as the interpreter, so cycles, stats,
-//! and architectural results are bit-identical. The core only enters the
-//! fast path in *quiet* states (no pending faults or detections, no trace
-//! sink, no corruption flag) where the skipped per-instruction work —
-//! fault processing, parity access checks — is provably a no-op. The
+//! Both dispatch loops issue through one `Core::issue`, instantiated twice.
+//! The per-instruction loop runs every state; the superblock loop runs only
+//! *quiet* states (no pending faults or detections, no trace sink, no
+//! corruption flag), and its instance skips the per-instruction work that
+//! is provably a no-op there — fault processing, parity and taint checks —
+//! so cycles, stats, and architectural results are bit-identical. The
 //! top-of-instruction work that is not a no-op — early-exit replay probes
 //! and snapshot capture — runs in the fast path too: a core holding a
 //! replay guide or a snapshot schedule dispatches through a hooked
-//! instance of the loop that runs the interpreter's prologue before every
-//! instruction, and every other core through the plain instance, which
-//! has no hook.
+//! instance of the loop that runs the prologue before every instruction,
+//! and every other core through the plain instance, which has no hook.
 
 use turnpike_ir::{BinOp, CmpOp};
 use turnpike_isa::{MOperand, MachAddr, MachInst, MachProgram, RegionId};
@@ -118,7 +115,7 @@ pub(crate) enum DKind {
 }
 
 /// One pre-decoded instruction: operation plus its flat source-register
-/// slots (what [`MachInst::uses`] computes per dynamic instruction).
+/// slots (what [`MachInst::uses`] returns).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodedOp {
     /// The operation.
@@ -166,7 +163,8 @@ impl Translation {
     }
 }
 
-fn decode(inst: MachInst) -> DecodedOp {
+/// Pre-decode one instruction.
+pub(crate) fn decode(inst: MachInst) -> DecodedOp {
     let uses = inst.uses();
     let mut srcs = [0u8; 3];
     for (slot, r) in srcs.iter_mut().zip(uses.iter()) {

@@ -7,11 +7,13 @@
 
 use std::sync::Arc;
 use turnpike::compiler::compile;
+use turnpike::ir::DataSegment;
+use turnpike::isa::{MachInst, MachProgram};
 use turnpike::resilience::{
     fault_campaign_hooked, CampaignConfig, CampaignHook, CampaignReport, RunSpec, Scheme,
 };
 use turnpike::sim::{
-    Core, CoreSnapshot, Fault, FaultKind, FaultPlan, ReplayGuide, SimConfig, SimOutcome,
+    Core, CoreSnapshot, Fault, FaultKind, FaultPlan, ReplayGuide, SimConfig, SimError, SimOutcome,
     Translation,
 };
 use turnpike::workloads::{kernel_by_name, Kernel, Scale, Suite};
@@ -41,6 +43,35 @@ fn strike(cycle: u64, sc: &SimConfig, horizon: u64) -> FaultPlan {
 /// The latest snapshot strictly before `cycle`, as campaigns fork.
 fn fork_point(snaps: &[CoreSnapshot], cycle: u64) -> Option<&CoreSnapshot> {
     snaps.iter().take_while(|s| s.cycle() < cycle).last()
+}
+
+/// A program without a `Ret` runs off its end. The superblock loop hands
+/// the out-of-range PC back to the per-instruction loop, which raises the
+/// error, so the run fails the same way with translation on and off, and
+/// in the hooked loop of a snapshot-collecting run.
+#[test]
+fn falling_off_the_end_is_pc_out_of_range() {
+    let program = MachProgram::from_insts(
+        "no-ret",
+        vec![MachInst::Nop],
+        DataSegment::zeroed(0x1000, 0),
+    );
+    for translate in [false, true] {
+        let mut sc = SimConfig::turnpike(4, 10);
+        sc.translate = translate;
+        let plain = Core::new(&program, sc.clone()).run(&FaultPlan::none());
+        assert_eq!(
+            plain.unwrap_err(),
+            SimError::PcOutOfRange(1),
+            "translate {translate}"
+        );
+        let hooked = Core::new(&program, sc).run_collecting_snapshots(&FaultPlan::none(), 1);
+        assert_eq!(
+            hooked.unwrap_err(),
+            SimError::PcOutOfRange(1),
+            "translate {translate}"
+        );
+    }
 }
 
 #[test]
