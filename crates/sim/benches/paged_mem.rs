@@ -4,8 +4,9 @@
 //! The access pattern mirrors what the simulator actually does per
 //! instruction: stores and loads clustered in a small data segment (a few
 //! pages), a sprinkling of far checkpoint-slot traffic, and periodic
-//! whole-memory checkpoints (`clone`) — O(pages) Arc bumps for `PagedMem`
-//! versus a deep tree copy for the map.
+//! whole-memory checkpoints (`clone` of a memory whose pages are shared
+//! with a snapshot) — O(pages) Arc bumps for `PagedMem` versus a deep tree
+//! copy for the map.
 
 use std::collections::BTreeMap;
 
@@ -64,9 +65,11 @@ fn bench_checkpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("mem_checkpoint");
     group.sample_size(20);
     let ops = workload(50_000);
-    // Populate once, then measure snapshot (clone) plus a short burst of
-    // post-snapshot writes — the COW path the fork API leans on.
-    let paged: PagedMem = ops.iter().copied().collect();
+    // Populate once and share the pages as a snapshot capture does, then
+    // measure snapshot (clone) plus a short burst of post-snapshot writes —
+    // the COW path the fork API leans on.
+    let mut paged: PagedMem = ops.iter().copied().collect();
+    let _capture = paged.share();
     let btree: BTreeMap<u64, i64> = ops.iter().copied().collect();
     group.bench_with_input(BenchmarkId::new("paged", "clone+64w"), &paged, |b, m| {
         b.iter(|| {

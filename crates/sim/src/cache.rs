@@ -5,11 +5,14 @@
 //! write-allocate, matching the configured L1D/L2 hierarchy.
 
 use crate::core::Refusal;
-use std::sync::Arc;
+use crate::slot::Slot;
 
-/// Most lines one copy-on-write chunk holds (fewer when the cache is
+/// Lines of one copy-on-write chunk (a tail stays unused when the cache is
 /// smaller, or when the associativity does not divide it).
 const CHUNK_LINES: usize = 64;
+
+/// One chunk of whole sets.
+type Chunk = [CacheLine; CHUNK_LINES];
 
 /// Highest supported associativity: [`Cache::replay_equivalent`] orders a
 /// set's lines in a stack buffer of this many entries.
@@ -17,19 +20,21 @@ const MAX_WAYS: usize = 64;
 
 /// One set-associative, LRU, tag-only cache level.
 ///
-/// Lines live in fixed-size chunks of whole sets behind [`Arc`], with a
-/// per-set occupancy count instead of a `Vec` per set: an access indexes a
-/// contiguous slice of one chunk, and cloning the cache — which the core's
-/// snapshot API does per capture and per fork — costs one reference-count
-/// bump per chunk plus the occupancy array. Writes go through
-/// [`Arc::make_mut`], so a run copies only the chunks it touches after a
-/// clone (copy-on-write, like [`PagedMem`](crate::PagedMem) pages).
+/// Lines live in fixed-size chunks of whole sets, each in an owned-or-shared
+/// slot, with a per-set occupancy count instead of a `Vec` per set: an
+/// access indexes a contiguous slice of one chunk. A
+/// running core writes its owned chunks in place. A snapshot capture takes
+/// its copy through `Cache::share`, which turns every chunk into a shared
+/// one, so the copy costs the chunks written since the last capture plus
+/// the occupancy array; a run forked from the snapshot copies only the
+/// chunks it writes, on the first write (copy-on-write, like
+/// [`PagedMem`](crate::PagedMem) pages). `Clone` deep-copies owned chunks.
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// Line storage: set `s` owns the `ways` lines from
     /// `(s % sets_per_chunk) * ways` on in chunk `s / sets_per_chunk`, of
     /// which the first `occ[s]` are valid.
-    chunks: Box<[Arc<[CacheLine]>]>,
+    chunks: Box<[Slot<Chunk>]>,
     /// Valid lines per set (fill order; eviction keeps slots dense).
     occ: Box<[u8]>,
     ways: usize,
@@ -72,7 +77,7 @@ impl Cache {
         let blank = CacheLine { tag: 0, lru: 0 };
         Cache {
             chunks: (0..num_sets / sets_per_chunk)
-                .map(|_| vec![blank; sets_per_chunk as usize * ways].into())
+                .map(|_| Slot::new([blank; CHUNK_LINES]))
                 .collect(),
             occ: vec![0; num_sets as usize].into_boxed_slice(),
             ways,
@@ -95,7 +100,18 @@ impl Cache {
     /// The valid lines of set `set_idx`.
     fn set(&self, set_idx: usize) -> &[CacheLine] {
         let (c, first) = self.place(set_idx);
-        &self.chunks[c][first..first + self.occ[set_idx] as usize]
+        &self.chunks[c].get()[first..first + self.occ[set_idx] as usize]
+    }
+
+    /// A copy that shares every chunk with this cache, turning the chunks
+    /// this cache owns into shared ones: how a snapshot capture takes its
+    /// copy. The next write to a shared chunk copies it.
+    pub(crate) fn share(&mut self) -> Cache {
+        Cache {
+            chunks: self.chunks.iter_mut().map(Slot::share).collect(),
+            occ: self.occ.clone(),
+            ..*self
+        }
     }
 
     /// Access `addr` at logical time `now`; returns `true` on hit.
@@ -114,7 +130,7 @@ impl Cache {
         let occ = self.occ[set_idx] as usize;
         let (c, first) = self.place(set_idx);
         // Every access writes (a hit restamps its line, a miss fills one).
-        let set = &mut Arc::make_mut(&mut self.chunks[c])[first..first + self.ways];
+        let set = &mut self.chunks[c].make_mut()[first..first + self.ways];
         let (mut victim, mut victim_lru) = (0usize, u64::MAX);
         for (i, l) in set[..occ].iter_mut().enumerate() {
             if l.tag == tag {
@@ -181,8 +197,9 @@ impl Cache {
                 })
         };
         let sets_per_chunk = 1 << self.chunk_shift;
+        let used = sets_per_chunk * self.ways;
         for (c, (a, b)) in self.chunks.iter().zip(&golden.chunks[..]).enumerate() {
-            if Arc::ptr_eq(a, b) && !stamped(a) {
+            if a.ptr_eq(b) && !stamped(&a.get()[..used]) {
                 continue;
             }
             for set_idx in c * sets_per_chunk..(c + 1) * sets_per_chunk {
@@ -267,6 +284,15 @@ impl Hierarchy {
             self.l1_hit + self.l2_hit
         } else {
             self.l1_hit + self.l2_hit + self.mem_latency
+        }
+    }
+
+    /// [`Cache::share`] of both levels.
+    pub(crate) fn share(&mut self) -> Hierarchy {
+        Hierarchy {
+            l1: self.l1.share(),
+            l2: self.l2.share(),
+            ..*self
         }
     }
 
@@ -409,6 +435,37 @@ mod tests {
             assert_ne!(lines(&b), b_then);
             assert_eq!(lines(&a.clone()), lines(&a));
         }
+    }
+
+    #[test]
+    fn writes_after_a_share_leave_the_shared_copy_untouched() {
+        let mut next = rng(9);
+        let mut a = Cache::new(128 * 1024, 16, 64);
+        for t in 0..2000 {
+            a.access(next() % (1 << 20), t);
+        }
+        let snap = a.share();
+        let then = lines(&snap);
+        let shared = |a: &Cache, b: &Cache| {
+            a.chunks
+                .iter()
+                .zip(&b.chunks[..])
+                .filter(|(x, y)| x.ptr_eq(y))
+                .count()
+        };
+        assert_eq!(shared(&a, &snap), a.chunks.len());
+        // One access writes one chunk; the rest still take the pointer skip.
+        a.access(1 << 30, 2000);
+        assert_eq!(lines(&snap), then);
+        assert_eq!(shared(&a, &snap), a.chunks.len() - 1);
+        assert_ne!(lines(&a), then);
+        // A clone deep-copies what its source owns and shares the rest.
+        let mut c = a.clone();
+        assert_eq!(shared(&c, &a), a.chunks.len() - 1);
+        c.access(1 << 31, 2001);
+        assert_ne!(lines(&c), lines(&a));
+        assert_eq!(a.replay_equivalent(&snap, 2002, 2002), Err(CacheDiff::Tags));
+        assert_eq!(snap.replay_equivalent(&snap.clone(), 2002, 2002), Ok(()));
     }
 
     /// The `(lru, slot)` rank definition the sort-based

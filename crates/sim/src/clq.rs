@@ -125,25 +125,44 @@ impl Clq for NoClq {
 }
 
 /// Unbounded address-matching CLQ.
+///
+/// The per-region address sets live in one flat buffer, region after
+/// region, so a new region costs no allocation once the buffers have grown.
 #[derive(Debug, Clone, Default)]
 pub struct IdealClq {
-    /// (region, sorted-unique load addresses).
-    regions: Vec<(u64, Vec<u64>)>,
+    /// `(region, address count)` in order of each region's first load.
+    regions: Vec<(u64, usize)>,
+    /// The regions' sorted-unique load addresses, concatenated in `regions`
+    /// order.
+    addrs: Vec<u64>,
     stats: ClqStats,
+}
+
+impl IdealClq {
+    /// The position of `region_seq` in `regions` and the range its
+    /// addresses occupy in `addrs`.
+    fn region(&self, region_seq: u64) -> Option<(usize, std::ops::Range<usize>)> {
+        let mut from = 0;
+        for (i, &(seq, len)) in self.regions.iter().enumerate() {
+            if seq == region_seq {
+                return Some((i, from..from + len));
+            }
+            from += len;
+        }
+        None
+    }
 }
 
 impl Clq for IdealClq {
     fn record_load(&mut self, addr: u64, region_seq: u64) {
         self.stats.loads_recorded += 1;
-        let entry = match self.regions.iter_mut().find(|(r, _)| *r == region_seq) {
-            Some(e) => e,
-            None => {
-                self.regions.push((region_seq, Vec::new()));
-                self.regions.last_mut().expect("just pushed")
-            }
-        };
-        if let Err(pos) = entry.1.binary_search(&addr) {
-            entry.1.insert(pos, addr);
+        let (i, range) = self.region(region_seq).unwrap_or_else(|| {
+            self.regions.push((region_seq, 0));
+            (self.regions.len() - 1, self.addrs.len()..self.addrs.len())
+        });
+        if let Err(pos) = self.addrs[range.clone()].binary_search(&addr) {
+            self.addrs.insert(range.start + pos, addr);
+            self.regions[i].1 += 1;
         }
         let occ = self.regions.len() as u64;
         self.stats.occupancy_sum += occ;
@@ -155,10 +174,12 @@ impl Clq for IdealClq {
         self.stats.stores_checked += 1;
         // Any unverified region's load blocks the release, not only the
         // storing region's own: rollback replays the whole unverified window.
-        let war = self
-            .regions
-            .iter()
-            .any(|(_, addrs)| addrs.binary_search(&addr).is_ok());
+        let mut rest = &self.addrs[..];
+        let war = self.regions.iter().any(|&(_, len)| {
+            let (addrs, tail) = rest.split_at(len);
+            rest = tail;
+            addrs.binary_search(&addr).is_ok()
+        });
         if !war {
             self.stats.war_free += 1;
         }
@@ -168,11 +189,15 @@ impl Clq for IdealClq {
     fn on_region_start(&mut self, _region_seq: u64, _prior_verified: bool) {}
 
     fn on_region_verified(&mut self, region_seq: u64) {
-        self.regions.retain(|(r, _)| *r != region_seq);
+        if let Some((i, range)) = self.region(region_seq) {
+            self.regions.remove(i);
+            self.addrs.drain(range);
+        }
     }
 
     fn on_recovery(&mut self) {
         self.regions.clear();
+        self.addrs.clear();
     }
 
     fn stats(&self) -> ClqStats {
@@ -184,9 +209,12 @@ impl Clq for IdealClq {
     }
 
     fn replay_signature(&self, seq_base: u64, out: &mut Vec<u64>) {
-        for (seq, addrs) in &self.regions {
+        let mut rest = &self.addrs[..];
+        for &(seq, len) in &self.regions {
+            let (addrs, tail) = rest.split_at(len);
+            rest = tail;
             out.push(seq.wrapping_sub(seq_base));
-            out.push(addrs.len() as u64);
+            out.push(len as u64);
             out.extend_from_slice(addrs);
         }
     }
@@ -558,6 +586,62 @@ mod tests {
             if !matches!(kind, crate::ClqKind::Off) {
                 assert_ne!(g, s, "{kind:?}");
             }
+        }
+    }
+
+    #[test]
+    fn ideal_flat_buffer_matches_per_region_sets() {
+        // The per-region address sets the flat buffer replaced, kept as
+        // the oracle: same answers, same signature words.
+        let mut model: Vec<(u64, Vec<u64>)> = Vec::new();
+        let mut c = IdealClq::default();
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let mut seq = 0;
+        for _ in 0..20_000 {
+            let addr = 8 * next(64);
+            match next(10) {
+                0..=4 => {
+                    // Loads of the running region, or of one still open.
+                    let r = seq - next(2).min(seq);
+                    c.record_load(addr, r);
+                    match model.iter_mut().find(|(s, _)| *s == r) {
+                        Some((_, a)) => {
+                            if let Err(p) = a.binary_search(&addr) {
+                                a.insert(p, addr);
+                            }
+                        }
+                        None => model.push((r, vec![addr])),
+                    }
+                }
+                5..=6 => {
+                    let war = model.iter().any(|(_, a)| a.binary_search(&addr).is_ok());
+                    assert_eq!(c.check_war_free(addr, seq), !war);
+                }
+                7 => seq += 1,
+                8 => {
+                    let r = model.first().map_or(seq, |&(s, _)| s);
+                    c.on_region_verified(r);
+                    model.retain(|(s, _)| *s != r);
+                }
+                _ if next(20) == 0 => {
+                    c.on_recovery();
+                    model.clear();
+                }
+                _ => {}
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            c.replay_signature(seq / 2, &mut got);
+            for (s, a) in &model {
+                want.extend([s.wrapping_sub(seq / 2), a.len() as u64]);
+                want.extend_from_slice(a);
+            }
+            assert_eq!(got, want);
         }
     }
 

@@ -105,39 +105,29 @@ impl Coloring {
     /// Region `region_seq` was verified: its used colors become the verified
     /// colors; displaced verified colors return to AC.
     pub fn on_region_verified(&mut self, region_seq: u64) {
-        let mut taken = Vec::new();
         self.uc.retain(|&(s, reg, c)| {
-            if s == region_seq {
-                taken.push((reg, c));
-                false
-            } else {
-                true
+            if s != region_seq {
+                return true;
             }
-        });
-        for (reg, c) in taken {
             let r = reg as usize;
             if let Some(old) = self.vc[r] {
                 self.ac[r] |= 1 << old;
             }
             self.vc[r] = Some(c);
-        }
+            false
+        });
     }
 
     /// Regions at or after `from_seq` were squashed: their colors return to
     /// AC; VC is untouched.
     pub fn on_squash(&mut self, from_seq: u64) {
-        let mut freed = Vec::new();
         self.uc.retain(|&(s, reg, c)| {
-            if s >= from_seq {
-                freed.push((reg, c));
-                false
-            } else {
-                true
+            if s < from_seq {
+                return true;
             }
-        });
-        for (reg, c) in freed {
             self.ac[reg as usize] |= 1 << c;
-        }
+            false
+        });
     }
 
     /// Number of colors configured per register.

@@ -237,7 +237,8 @@ pub struct ReplayGuide<'g> {
     probes: Vec<PcProbe>,
     /// `(pc, fingerprint, snapshot index)` of every indexed snapshot,
     /// sorted: the snapshots sharing a PC and fingerprint are adjacent and
-    /// ascend in cycle.
+    /// ascend in cycle. Each PC's entries are the range its [`PcProbe`]
+    /// holds.
     index: Box<[(u32, u64, u32)]>,
 }
 
@@ -260,6 +261,9 @@ struct PcProbe {
     regs: [u8; KEY_REGS],
     /// Their odd hash multipliers; 0 for an unused slot, so it adds nothing.
     mults: [u64; KEY_REGS],
+    /// The range of this PC's entries in [`ReplayGuide::index`].
+    from: u32,
+    len: u32,
 }
 
 impl PcProbe {
@@ -335,6 +339,13 @@ impl<'g> ReplayGuide<'g> {
             indexed.push((s.pc as u32, fp, i as u32));
         }
         indexed.sort_unstable();
+        for (at, &(pc, _, _)) in indexed.iter().enumerate() {
+            let probe = &mut probes[pc as usize];
+            if probe.len == 0 {
+                probe.from = at as u32;
+            }
+            probe.len += 1;
+        }
         ReplayGuide {
             snapshots,
             golden_stats,
@@ -361,10 +372,10 @@ impl<'g> ReplayGuide<'g> {
         if probe.bloom & PcProbe::bloom_bit(fp) == 0 {
             return &[];
         }
-        let key = (pc as u32, fp);
-        let from = self.index.partition_point(|&(p, f, _)| (p, f) < key);
-        let len = self.index[from..].partition_point(|&(p, f, _)| (p, f) == key);
-        &self.index[from..from + len]
+        let at = &self.index[probe.from as usize..(probe.from + probe.len) as usize];
+        let from = at.partition_point(|&(_, f, _)| f < fp);
+        let len = at[from..].partition_point(|&(_, f, _)| f == fp);
+        &at[from..from + len]
     }
 }
 
@@ -495,8 +506,9 @@ pub struct Core<'a> {
     /// Earliest cycle at which [`Core::settle`] can have any effect (the
     /// front RBB verification point or front SB release, whichever comes
     /// first). Settle calls below this are one compare; 0 forces the full
-    /// path, which recomputes it. Derived state: mutation sites that end a
-    /// region or rebuild the RBB/SB reset it to 0.
+    /// path, which recomputes it. Derived state: mutation sites that rebuild
+    /// the RBB/SB reset it to 0, and a region boundary lowers it to the
+    /// ended region's verification point + 1.
     settle_due: u64,
     /// Snapshot cadence in cycles; 0 disables capture (every run except
     /// [`Core::run_collecting_snapshots`]). Doubles when thinning kicks in.
@@ -524,10 +536,13 @@ pub struct Core<'a> {
 /// iteration, captured by [`Core::run_collecting_snapshots`] and resumed
 /// through [`Core::from_snapshot`].
 ///
-/// Cloning is cheap: the functional memories share pages copy-on-write
-/// ([`PagedMem`]), and everything else is flat data. Snapshots are
-/// `Send + Sync`, so a fault campaign can fork many runs from one snapshot
-/// across worker threads.
+/// A snapshot shares the functional memories' pages ([`PagedMem`]) and the
+/// caches' tag chunks with the core that captured it, copy-on-write: the
+/// capture turns the core's owned pages and chunks into shared ones, so
+/// cloning a snapshot (as [`Core::from_snapshot`] does) copies only the
+/// remaining flat data, and a forked run copies a page or chunk on its
+/// first write to it. Snapshots are `Send + Sync`, so a fault campaign can
+/// fork many runs from one snapshot across worker threads.
 ///
 /// # Determinism contract
 ///
@@ -578,10 +593,7 @@ impl<'a> Core<'a> {
     /// Build a core around a program, in the loader's initial state: data
     /// segment and register inputs installed, cycle 0.
     pub fn new(program: &'a MachProgram, cfg: SimConfig) -> Self {
-        let mut memory = PagedMem::new();
-        for (i, w) in program.data.words.iter().enumerate() {
-            memory.insert(program.data.base + i as u64 * 8, *w);
-        }
+        let memory = PagedMem::from_words(program.data.base, &program.data.words);
         let mut regs = [0i64; NUM_PHYS_REGS as usize];
         let mut ckpt_memory = PagedMem::new();
         let mut coloring = Coloring::new(NUM_PHYS_REGS as usize, cfg.colors);
@@ -598,8 +610,7 @@ impl<'a> Core<'a> {
             ModeFlags::for_mode(program.region_mode(RegionId(0)), &cfg).wcdl
         };
         // The initial state is moved, not cloned, into the core: a clone
-        // would keep a second handle on every memory page, and the first
-        // write to each page would then copy it.
+        // would copy every memory page and cache chunk the state owns.
         let initial = CoreSnapshot {
             regs,
             reg_ready: [0; NUM_PHYS_REGS as usize],
@@ -907,9 +918,9 @@ impl<'a> Core<'a> {
             reg_ready: self.reg_ready,
             parity_bad: self.parity_bad,
             tainted: self.tainted,
-            memory: self.memory.clone(),
-            ckpt_memory: self.ckpt_memory.clone(),
-            caches: self.caches.clone(),
+            memory: self.memory.share(),
+            ckpt_memory: self.ckpt_memory.share(),
+            caches: self.caches.share(),
             sb: self.sb.clone(),
             rbb: self.rbb.clone(),
             clq: self.clq.clone(),
@@ -1825,11 +1836,14 @@ impl<'a> Core<'a> {
         // RBB occupancy).
         let prior_all_verified = self.rbb.unverified_count() <= 1;
         let wcdl = self.flags_for(id).wcdl;
+        let ended_wcdl = self.rbb.current().wcdl;
         self.rbb
             .on_boundary(id, self.pc as u32 + 1, self.cycle, wcdl);
-        // The ended region gives the RBB front a verification
-        // point the cached settle time doesn't know about.
-        self.settle_due = 0;
+        // The ended region has a verification point the cached settle time
+        // doesn't know about; it verifies once the clock passes it. (It can
+        // verify no earlier than the regions ahead of it, so this may be
+        // early, never late.)
+        self.settle_due = self.settle_due.min(self.cycle + ended_wcdl + 1);
         let seq = self.rbb.current_seq();
         self.clq.on_region_start(seq, prior_all_verified);
         self.stats.boundaries += 1;

@@ -48,6 +48,7 @@ pub mod core;
 pub mod fault;
 pub mod mem;
 pub mod rbb;
+mod slot;
 pub mod stats;
 pub mod store_buffer;
 pub mod trace;

@@ -221,3 +221,86 @@ fn first_run_shards_absorb_into_the_whole_campaign() {
         }
     }
 }
+
+/// Snapshots share memory pages and cache chunks with the core that
+/// captured them and with every core forked from them; each side copies a
+/// page or chunk on its first write. So a snapshot reads the same after
+/// the collecting run went on writing, and after forked runs wrote memory,
+/// checkpoints and caches, and a clone of a running core's state never
+/// sees that state's later writes.
+#[test]
+fn snapshots_and_clones_stay_untouched_by_later_writes() {
+    for k in kernels() {
+        let spec = RunSpec::new(Scheme::Turnpike);
+        let sc = spec.sim_config();
+        let compiled = compile(&k.program, &spec.compiler_config()).unwrap();
+        let program = &compiled.program;
+        let (golden, snaps) = Core::new(program, sc.clone())
+            .run_collecting_snapshots(&FaultPlan::none(), INTERVAL)
+            .unwrap();
+        let horizon = golden.stats.cycles;
+        let render = |s: &CoreSnapshot| format!("{s:?}");
+
+        // A second collecting run struck halfway captures the same prefix,
+        // then writes other values and timestamps than the golden run did.
+        // Had either run's later writes reached its shared snapshots, the
+        // two renderings of a prefix capture would differ. (No watchdog:
+        // the cycle limit is part of a snapshot.)
+        let cut = horizon / 2;
+        let struck_plan = FaultPlan::new(strike(cut, &sc, horizon).faults().to_vec());
+        let (_, struck) = Core::new(program, sc.clone())
+            .run_collecting_snapshots(&struck_plan, INTERVAL)
+            .unwrap();
+        let mut compared = 0;
+        for s in snaps.iter().filter(|s| s.cycle() < cut) {
+            if let Some(t) = struck.iter().find(|t| t.cycle() == s.cycle()) {
+                assert_eq!(render(s), render(t), "{}: capture at {}", k.name, s.cycle());
+                compared += 1;
+            }
+        }
+        assert!(compared >= 3, "{}: {compared} common captures", k.name);
+        let diverged = snaps.iter().filter(|s| s.cycle() > cut).any(|s| {
+            struck
+                .iter()
+                .find(|t| t.cycle() == s.cycle())
+                .is_none_or(|t| render(s) != render(t))
+        });
+        assert!(diverged, "{}: the strike changed no later capture", k.name);
+
+        // Two strike runs forked in turn from one snapshot, with most of
+        // the run still ahead: the first writes memory, checkpoints and
+        // caches; the snapshot must not change, and the second fork must
+        // still reproduce its from-scratch twin.
+        let snap = &snaps[snaps.len() / 3];
+        let at = snap.cycle();
+        let before = render(snap);
+        for cycle in [at + 1, at + (horizon - at) / 3] {
+            let plan = strike(cycle, &sc, horizon);
+            let forked = Core::from_snapshot(program, snap).run(&plan).unwrap();
+            assert!(forked.stats.stores > 0 && forked.stats.ckpts > 0);
+            assert_eq!(
+                forked,
+                Core::new(program, sc.clone()).run(&plan).unwrap(),
+                "{}: strike at {cycle} forked from {at}",
+                k.name
+            );
+            assert_eq!(
+                render(snap),
+                before,
+                "{}: after the fork striking at {cycle}",
+                k.name
+            );
+        }
+
+        // A clone of a finished core's memory (its pages are owned, not
+        // shared) is a copy, not a view.
+        let mut live = golden.memory;
+        let copy = live.clone();
+        let then = copy.to_btree();
+        for (&a, &v) in &then {
+            live.insert(a, !v);
+        }
+        assert_eq!(copy.to_btree(), then, "{}", k.name);
+        assert!(!live.content_eq(&copy));
+    }
+}
